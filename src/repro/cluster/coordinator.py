@@ -146,12 +146,37 @@ class PendingReshard:
     #: (rebuild abort flips homes back to these tombstone entries).
     source_locals: dict[int, int] = field(default_factory=dict, repr=False)
     _finished: bool = field(default=False, repr=False)
+    #: :meth:`next_move`'s state: every move before ``_cursor`` has
+    #: landed, ``_landed`` holds the first ``_folded`` entries of
+    #: ``applied``.
+    _cursor: int = field(default=0, repr=False, compare=False)
+    _landed: set[int] = field(default_factory=set, repr=False, compare=False)
+    _folded: int = field(default=0, repr=False, compare=False)
 
     @property
     def remaining(self) -> tuple[ObjectMove, ...]:
         """Planned migrations that have not landed yet, in plan order."""
         done = set(self.applied)
         return tuple(m for m in self.moves if m.object_id not in done)
+
+    def next_move(self) -> Optional[ObjectMove]:
+        """The first planned migration that has not landed (``None``
+        when done) — ``remaining[0]`` in amortized O(1): each landed id
+        is folded in once and each move is stepped past once, whether
+        ``applied`` grew by :meth:`ClusterCoordinator.migrate_next` or
+        by a resume re-executing applies in journal order."""
+        if self._folded > len(self.applied):  # cleared by an abort
+            self._cursor, self._landed, self._folded = 0, set(), 0
+        self._landed.update(self.applied[self._folded:])
+        self._folded = len(self.applied)
+        while (
+            self._cursor < len(self.moves)
+            and self.moves[self._cursor].object_id in self._landed
+        ):
+            self._cursor += 1
+        if self._cursor == len(self.moves):
+            return None
+        return self.moves[self._cursor]
 
     @property
     def done(self) -> bool:
@@ -1064,10 +1089,9 @@ class ClusterCoordinator:
     def migrate_next(self, pending: PendingReshard) -> Optional[ObjectMove]:
         """Execute one planned migration; returns it (None when done)."""
         self._check_pending(pending)
-        remaining = pending.remaining
-        if not remaining:
+        move = pending.next_move()
+        if move is None:
             return None
-        move = remaining[0]
         self._migrate(move, journal_writes=True, seq=pending.seq)
         pending.applied.append(move.object_id)
         return move

@@ -302,10 +302,6 @@ def resume_cluster(
             continue
         if record.seq <= stamp:
             continue  # already reflected in the manifest's router state
-        if pending_out is not None:
-            raise JournalError(
-                "cluster journal has records after an uncommitted rebalance"
-            )
         if record.seq != coordinator.router.num_operations + 1:
             raise JournalError(
                 f"cluster journal seq={record.seq} does not follow the "

@@ -46,6 +46,7 @@ from repro.server.reads import (
 from repro.server.fsck import LayoutReport, check_layout, repair_layout
 from repro.server.ingest import IngestReport, IngestSession
 from repro.server.journal import (
+    JournalCorruptionError,
     JournalError,
     OpJournalRecord,
     ReshuffleOp,
@@ -106,6 +107,7 @@ __all__ = [
     "ExhaustionWatchdog",
     "FaultInjector",
     "IngestReport",
+    "JournalCorruptionError",
     "JournalError",
     "LayoutReport",
     "MetricsCollector",

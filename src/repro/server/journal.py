@@ -31,24 +31,21 @@ bit-identical layouts for a kill after *every* move index).
 The journal can live in memory (``path=None``, for experiments and
 simulations) or on disk, where every record is flushed on write and
 optionally fsync'd (``fsync=True``) so the record survives power loss.
-A torn final line — the classic crash-while-appending artifact — is
-tolerated and dropped on replay; corruption anywhere else raises.
+Storage, the protocol checks, the torn final line and the typed
+corruption error are the shared journal core's (:mod:`repro.journal`);
+this module is the block-level codec.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.operations import ScalingOp
+from repro.journal import Journal, JournalRecord
+from repro.journal import JournalCorruptionError as JournalCorruptionError
+from repro.journal import JournalError as JournalError
 from repro.storage.block import BlockId
-
-
-class JournalError(Exception):
-    """Raised on journal corruption or protocol violations."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class LogicalMove:
 
 
 @dataclass
-class OpJournalRecord:
+class OpJournalRecord(JournalRecord):
     """Everything the journal knows about one scaling operation.
 
     Attributes
@@ -128,30 +125,20 @@ class OpJournalRecord:
     aborted: bool = False
 
     @property
-    def open(self) -> bool:
-        """Whether the operation is still in flight."""
-        return not (self.committed or self.aborted)
-
-    @property
     def is_reshuffle(self) -> bool:
         """Whether this record journals a full redistribution."""
         return isinstance(self.op, ReshuffleOp)
 
-    @property
-    def remaining(self) -> int:
-        """Planned moves without an apply record."""
-        return len(self.plan) - len(self.applied)
 
-
-class ScalingJournal:
+class ScalingJournal(Journal[OpJournalRecord]):
     """Append-only intent/apply/commit journal for scaling operations.
 
     Parameters
     ----------
     path:
-        JSON-lines file to append to (created if missing).  ``None``
-        keeps records in memory — same semantics, no durability; useful
-        for simulations and the chaos experiment.
+        JSON-lines file to append to (created by the first record).
+        ``None`` keeps records in memory — same semantics, no
+        durability; useful for simulations and the chaos experiment.
     fsync:
         When True, ``os.fsync`` after every record — the full durability
         contract, at one syscall per record.  Off by default; records
@@ -164,26 +151,8 @@ class ScalingJournal:
     []
     """
 
-    def __init__(self, path: str | Path | None = None, fsync: bool = False):
-        from repro.obs import NULL_OBS
+    METRICS = "journal"
 
-        self.path = Path(path) if path is not None else None
-        self.fsync = fsync
-        self.obs = NULL_OBS
-        self._records: list[dict] = []
-        self._fh = None
-        if self.path is not None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-
-    def attach_obs(self, obs) -> None:
-        """Attach an observability handle (:class:`repro.obs.Obs`):
-        records count into ``journal.records`` (labelled by type) and
-        every fsync is timed into ``journal.fsync.seconds``."""
-        self.obs = obs
-
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
     def record_begin(
         self,
         seq: int,
@@ -201,12 +170,6 @@ class ScalingJournal:
             runs at a time, and overlapping intents would make replay
             ambiguous.
         """
-        last = self._last_record()
-        if last is not None and last.open:
-            raise JournalError(
-                f"operation seq={last.seq} is still open; commit or abort "
-                "it before beginning another"
-            )
         self._append(
             {
                 "type": "begin",
@@ -226,8 +189,16 @@ class ScalingJournal:
             }
         )
 
+    # Defined in this class body, not inherited: the benchmark's tracer
+    # (perfbench/trace.py) wraps ScalingJournal.__dict__["record_apply"].
     def record_apply(self, seq: int, block_id: BlockId) -> None:
-        """Journal one executed move (after the transfer landed)."""
+        """Journal one executed move (after the transfer landed).
+
+        Raises
+        ------
+        JournalError
+            If ``seq`` is not the open operation.
+        """
         self._append(
             {
                 "type": "apply",
@@ -236,136 +207,22 @@ class ScalingJournal:
             }
         )
 
-    def record_commit(self, seq: int) -> None:
-        """Journal completion of an operation."""
-        self._append({"type": "commit", "seq": seq})
+    def _decode_begin(self, entry: dict) -> OpJournalRecord:
+        op_data = entry["op"]
+        return OpJournalRecord(
+            seq=entry["seq"],
+            op=(
+                ReshuffleOp.from_dict(op_data)
+                if op_data.get("kind") == "reshuffle"
+                else ScalingOp.from_dict(op_data)
+            ),
+            n_before=entry["n_before"],
+            n_after=entry["n_after"],
+            plan=tuple(
+                LogicalMove(BlockId(o, i), src, dst)
+                for o, i, src, dst in entry["plan"]
+            ),
+        )
 
-    def record_abort(self, seq: int) -> None:
-        """Journal rollback of an operation."""
-        self._append({"type": "abort", "seq": seq})
-
-    def sync(self) -> None:
-        """Force the journal to stable storage (no-op in memory)."""
-        if self._fh is not None:
-            self._fh.flush()
-            with self.obs.timer("journal.fsync.seconds"):
-                os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        """Close the backing file (in-memory journals are unaffected)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "ScalingJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def replay(self) -> list[OpJournalRecord]:
-        """Parse the journal into per-operation records, oldest first.
-
-        Raises
-        ------
-        JournalError
-            On corrupt records anywhere but the final line (a torn final
-            line is the expected crash artifact and is dropped).
-        """
-        raw = self._read_raw()
-        records: list[OpJournalRecord] = []
-        for lineno, entry in enumerate(raw, start=1):
-            kind = entry.get("type")
-            if kind == "begin":
-                op_data = entry["op"]
-                op: ScalingOp | ReshuffleOp = (
-                    ReshuffleOp.from_dict(op_data)
-                    if op_data.get("kind") == "reshuffle"
-                    else ScalingOp.from_dict(op_data)
-                )
-                records.append(
-                    OpJournalRecord(
-                        seq=entry["seq"],
-                        op=op,
-                        n_before=entry["n_before"],
-                        n_after=entry["n_after"],
-                        plan=tuple(
-                            LogicalMove(BlockId(o, i), src, dst)
-                            for o, i, src, dst in entry["plan"]
-                        ),
-                    )
-                )
-                continue
-            if not records:
-                raise JournalError(
-                    f"record {lineno}: {kind!r} before any 'begin'"
-                )
-            current = records[-1]
-            if entry.get("seq") != current.seq:
-                raise JournalError(
-                    f"record {lineno}: seq {entry.get('seq')} does not "
-                    f"match open operation seq {current.seq}"
-                )
-            if kind == "apply":
-                if not current.open:
-                    raise JournalError(
-                        f"record {lineno}: apply after commit/abort"
-                    )
-                current.applied.append(BlockId(*entry["block"]))
-            elif kind == "commit":
-                current.committed = True
-            elif kind == "abort":
-                current.aborted = True
-            else:
-                raise JournalError(f"record {lineno}: unknown type {kind!r}")
-        return records
-
-    def open_record(self) -> Optional[OpJournalRecord]:
-        """The in-flight operation, if the journal ends mid-scale."""
-        records = self.replay()
-        if records and records[-1].open:
-            return records[-1]
-        return None
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        self._records.append(record)
-        if self.obs.enabled:
-            self.obs.inc("journal.records", type=record["type"])
-        if self._fh is not None:
-            self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self._fh.flush()
-            if self.fsync:
-                with self.obs.timer("journal.fsync.seconds"):
-                    os.fsync(self._fh.fileno())
-
-    def _read_raw(self) -> list[dict]:
-        if self.path is None:
-            return list(self._records)
-        if not self.path.exists():
-            return []
-        entries: list[dict] = []
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    break  # torn final line: the crash artifact
-                raise JournalError(f"corrupt journal line {lineno}")
-        return entries
-
-    def _last_record(self) -> Optional[OpJournalRecord]:
-        records = self.replay()
-        return records[-1] if records else None
-
-    def __repr__(self) -> str:
-        where = str(self.path) if self.path is not None else "memory"
-        return f"ScalingJournal({where}, records={len(self._read_raw())})"
+    def _decode_apply(self, entry: dict) -> BlockId:
+        return BlockId(*entry["block"])

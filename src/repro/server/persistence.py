@@ -317,10 +317,6 @@ def resume_server(
         if record.aborted:
             continue  # begin + rollback = net nothing
         if isinstance(record.op, ReshuffleOp):
-            if open_state is not None:
-                raise JournalError(
-                    "journal has records after an uncommitted operation"
-                )
             if record.op.epoch != server.reshuffles + 1:
                 raise JournalError(
                     f"journal reshuffle epoch={record.op.epoch} does not "
@@ -351,10 +347,6 @@ def resume_server(
                     f"snapshot log holds {base_log[record.seq - 1]}"
                 )
             continue  # already reflected in the snapshot
-        if open_state is not None:
-            raise JournalError(
-                "journal has records after an uncommitted operation"
-            )
         if record.seq != server.backend.num_operations + 1:
             raise JournalError(
                 f"journal op seq={record.seq} does not follow the "

@@ -43,6 +43,9 @@ class DiskArray:
         self._logical_order: list[int] = []
         self._contents: dict[int, set[Block]] = {}
         self._home: dict[BlockId, int] = {}
+        #: Every resident block by id, so move/drop find it in O(1)
+        #: instead of scanning the source disk's contents.
+        self._block: dict[BlockId, Block] = {}
         self._blocks_moved = 0
         self._inventory_version = 0
         for spec in specs:
@@ -162,7 +165,7 @@ class DiskArray:
             raise KeyError(f"physical disk {target_physical} is not in the array")
         if source == target_physical:
             return False
-        block = next(b for b in self._contents[source] if b.block_id == block_id)
+        block = self._block[block_id]
         target_disk = self._disks[target_physical]
         if len(self._contents[target_physical]) >= target_disk.capacity_blocks:
             raise PlacementConflictError(
@@ -195,8 +198,7 @@ class DiskArray:
     def drop(self, block_id: BlockId) -> None:
         """Remove a block from the array (object deletion)."""
         source = self.home_of(block_id)
-        block = next(b for b in self._contents[source] if b.block_id == block_id)
-        self._contents[source].remove(block)
+        self._contents[source].remove(self._block.pop(block_id))
         del self._home[block_id]
         self._inventory_version += 1
 
@@ -241,9 +243,10 @@ class DiskArray:
     def _place_physical(self, block: Block, physical_id: int) -> None:
         if physical_id not in self._disks:
             raise KeyError(f"physical disk {physical_id} is not in the array")
-        if block.block_id in self._home:
+        block_id = block.block_id
+        if block_id in self._home:
             raise PlacementConflictError(
-                f"block {block.block_id} is already resident; use move()"
+                f"block {block_id} is already resident; use move()"
             )
         disk = self._disks[physical_id]
         if len(self._contents[physical_id]) >= disk.capacity_blocks:
@@ -251,7 +254,8 @@ class DiskArray:
                 f"physical disk {physical_id} is full ({disk.capacity_blocks} blocks)"
             )
         self._contents[physical_id].add(block)
-        self._home[block.block_id] = physical_id
+        self._home[block_id] = physical_id
+        self._block[block_id] = block
         self._inventory_version += 1
 
     def __repr__(self) -> str:

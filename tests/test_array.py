@@ -176,6 +176,34 @@ class TestInventory:
         with pytest.raises(KeyError):
             array.home_of(BlockId(0, 0))
 
+    @pytest.mark.parametrize("op", ["move", "drop"])
+    def test_finding_the_block_is_constant_time(self, monkeypatch, op):
+        """move/drop look the block up by id: the Block.block_id
+        evaluations per call do not grow with the blocks on the disk."""
+        evaluations = [0]
+        block_id = Block.block_id
+
+        def counted(block):
+            evaluations[0] += 1
+            return block_id.fget(block)
+
+        def per_call(blocks_per_disk: int) -> float:
+            array = make_array(2, capacity=blocks_per_disk)
+            for i in range(blocks_per_disk):
+                array.place(b(i), 0)
+            target = array.physical_at(1)
+            evaluations[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Block, "block_id", property(counted))
+                for i in range(0, blocks_per_disk, blocks_per_disk // 8):
+                    if op == "move":
+                        assert array.move(BlockId(0, i), target)
+                    else:
+                        array.drop(BlockId(0, i))
+            return evaluations[0] / 8
+
+        assert per_call(4 * 400) <= per_call(400)
+
     def test_utilization(self):
         array = make_array(2, capacity=10)
         assert array.utilization() == 0.0

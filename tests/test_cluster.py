@@ -9,6 +9,7 @@ and per-shard fault decorrelation.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -29,6 +30,7 @@ from repro.cluster import (
     shard_fault_seed,
     snapshot_cluster,
 )
+from repro.cluster.coordinator import PendingReshard
 from repro.cluster.journal import JournalError
 from repro.core.operations import ScalingOp
 from repro.obs import Obs
@@ -332,6 +334,52 @@ class TestReshard:
         a.execute_reshard(pending)
         a.finish_reshard(pending)
 
+    def test_migrate_next_reads_constant_plan_entries_per_move(self):
+        """A rebalance is linear in its plan: migrate_next reads O(1)
+        plan entries per move instead of rebuilding the unlanded plan."""
+
+        class CountingMoves(tuple):
+            def __getitem__(self, index):
+                reads[0] += 1
+                return tuple.__getitem__(self, index)
+
+            def __iter__(self):
+                for move in tuple.__iter__(self):
+                    reads[0] += 1
+                    yield move
+
+        reads = [0]
+
+        def reads_per_move(num_objects: int) -> float:
+            coordinator = build_cluster(
+                num_objects=num_objects, blocks_per_object=4
+            )
+            pending = coordinator.begin_reshard(ScalingOp.add(1))
+            pending.moves = CountingMoves(pending.moves)
+            reads[0] = 0
+            coordinator.execute_reshard(pending)
+            assert pending.done and len(pending.moves) >= 4
+            return reads[0] / len(pending.moves)
+
+        assert reads_per_move(4 * 24) <= reads_per_move(24)
+
+    def test_next_move_follows_applied_in_any_order(self):
+        moves = tuple(ObjectMove(gid, 0, 1) for gid in range(6))
+        pending = PendingReshard(
+            op=ScalingOp.add(1), seq=1, shards_before=1, shards_after=2,
+            new_shard_ids=(1,), removed_shard_ids=(), moves=moves,
+        )
+        # A resume re-executes applies in journal order, not plan order.
+        pending.applied.extend([3, 0])
+        assert pending.next_move() == moves[1]
+        assert pending.remaining == (moves[1], moves[2], moves[4], moves[5])
+        pending.applied.extend([1, 2])
+        assert pending.next_move() == pending.remaining[0] == moves[4]
+        pending.applied.clear()  # what an abort does
+        assert pending.next_move() == moves[0]
+        pending.applied.extend(m.object_id for m in moves)
+        assert pending.next_move() is None and pending.done
+
     def test_scale_shard_keeps_routing(self):
         coordinator = build_cluster()
         shard_id = coordinator.shard_ids[0]
@@ -395,6 +443,17 @@ class TestClusterJournal:
             handle.write('{"type": "comm')  # the crash ate the rest
         [record] = ClusterJournal(path).replay()
         assert record.open and record.applied == [5]
+        # The next append cuts the fragment off and starts a fresh
+        # line, so the journal replays again with the new record.
+        resumed = ClusterJournal(path)
+        resumed.record_commit(1)
+        resumed.close()
+        [record] = ClusterJournal(path).replay()
+        assert record.committed and record.applied == [5]
+        with open(path, encoding="utf-8") as handle:
+            assert [json.loads(line)["type"] for line in handle] == [
+                "begin", "apply", "commit",
+            ]
 
     def test_interior_corruption_raises_typed_error(self, tmp_path):
         path = str(tmp_path / "c.journal")

@@ -15,9 +15,16 @@ The pledges under test:
 from __future__ import annotations
 
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster import (
     ClusterCoordinator,
     ClusterJournal,
@@ -164,6 +171,40 @@ class TestResume:
             assert cluster_layout(resumed) == expected
             resumed.journal.close()
 
+    def test_torn_apply_resume_finish_resume(self, tmp_path):
+        """A crash that tears an apply record: resume and finish, then
+        resume again from the same journal.  The first resume's records
+        must start on a fresh line, not be glued onto the fragment."""
+        coordinator, manifest, path = self._manifest_and_journal(tmp_path)
+        pending = coordinator.begin_reshard(ScalingOp.add(2))
+        coordinator.execute_reshard(pending)
+        coordinator.finish_reshard(pending)
+        expected = cluster_layout(coordinator)
+        coordinator.journal.close()
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
+        begin = [line for line in lines if json.loads(line)["type"] == "begin"]
+        applies = [
+            line for line in lines if json.loads(line)["type"] == "apply"
+        ]
+
+        for crash_at in range(len(applies)):
+            torn = tmp_path / f"torn-{crash_at}.journal"
+            fragment = applies[crash_at][: len(applies[crash_at]) // 2]
+            torn.write_text(
+                "".join(begin + applies[:crash_at]) + fragment,
+                encoding="utf-8",
+            )
+            resumed, open_pending = resume_cluster(dict(manifest), str(torn))
+            assert len(open_pending.applied) == crash_at
+            resumed.execute_reshard(open_pending)
+            resumed.finish_reshard(open_pending)
+            resumed.journal.close()
+
+            again, still_open = resume_cluster(dict(manifest), str(torn))
+            assert still_open is None, f"crash_at={crash_at}"
+            assert cluster_layout(again) == expected, f"crash_at={crash_at}"
+            assert check_cluster(again).clean
+
     def test_resume_committed_journal_is_quiescent(self, tmp_path):
         coordinator, manifest, path = self._manifest_and_journal(tmp_path)
         coordinator.reshard(ScalingOp.add(1))
@@ -247,6 +288,70 @@ class TestResume:
         assert pending is None
         # The open disk-level op was completed synchronously.
         assert resumed.shard(0).server.num_disks == disks_before + 1
+        assert check_cluster(resumed).clean
+
+
+#: The crashing process: builds the seeded cluster, writes its manifest,
+#: runs a file-backed fsync'd rebalance and SIGKILLs itself after
+#: ``kill_after`` applies.  argv: tests dir, work dir, kill_after.
+CRASH_CHILD = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from test_cluster_persistence import build_cluster
+from repro.cluster import ClusterJournal, cluster_to_json
+from repro.core.operations import ScalingOp
+
+workdir, kill_after = sys.argv[2], int(sys.argv[3])
+journal = ClusterJournal(os.path.join(workdir, "cluster.journal"), fsync=True)
+coordinator = build_cluster(journal=journal)
+with open(os.path.join(workdir, "manifest.json"), "w") as handle:
+    handle.write(cluster_to_json(coordinator))
+pending = coordinator.begin_reshard(ScalingOp.add(2))
+for _ in range(kill_after):
+    coordinator.migrate_next(pending)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+class TestProcessCrash:
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGKILL"), reason="needs SIGKILL"
+    )
+    def test_resume_after_sigkill_mid_rebalance(self, tmp_path):
+        """A real process dies mid-rebalance; this process, which never
+        held that cluster, resumes from the manifest and the journal to
+        the uncrashed twin's layout."""
+        twin = build_cluster()
+        pending = twin.begin_reshard(ScalingOp.add(2))
+        twin.execute_reshard(pending)
+        twin.finish_reshard(pending)
+        kill_after = random.Random(0x5EED).randrange(1, len(pending.moves))
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        child = subprocess.run(
+            [
+                sys.executable, "-c", CRASH_CHILD,
+                str(Path(__file__).resolve().parent), str(tmp_path),
+                str(kill_after),
+            ],
+            env=env, capture_output=True, timeout=180,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr.decode()
+
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        resumed, open_pending = resume_cluster(
+            manifest, str(tmp_path / "cluster.journal")
+        )
+        assert open_pending is not None
+        assert len(open_pending.applied) == kill_after
+        resumed.execute_reshard(open_pending)
+        resumed.finish_reshard(open_pending)
+        resumed.journal.close()
+        assert cluster_layout(resumed) == cluster_layout(twin)
         assert check_cluster(resumed).clean
 
 
@@ -347,6 +452,37 @@ class TestClusterCLI:
         assert self.run_cli(
             "fsck", "--manifest", manifest, "--journal", journal
         ) == 0
+
+    def test_status_and_fsck_only_read_a_torn_journal(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        journal = tmp_path / "c.journal"
+        self.run_cli(
+            "create", "--manifest", manifest, "--journal", journal,
+            "--shards", 3, "--objects", 10, "--blocks-per-object", 20,
+        )
+        coordinator = restore_cluster(
+            json.loads(manifest.read_text()),
+            journal=ClusterJournal(str(journal)),
+        )
+        pending = coordinator.begin_reshard(ScalingOp.add(1))
+        coordinator.migrate_next(pending)
+        coordinator.journal.close()
+        with open(journal, "a", encoding="utf-8") as handle:
+            handle.write('{"type":"apply","se')  # the crash tore it
+        torn = journal.read_bytes()
+
+        for verb in ("status", "fsck"):
+            assert self.run_cli(
+                verb, "--manifest", manifest, "--journal", journal
+            ) == 2
+            assert journal.read_bytes() == torn
+        assert self.run_cli(
+            "resume", "--manifest", manifest, "--journal", journal
+        ) == 0
+        assert "resumed" in capsys.readouterr().out
+        types = [json.loads(line)["type"] for line in
+                 journal.read_text(encoding="utf-8").splitlines()]
+        assert types[:2] == ["begin", "apply"] and types[-1] == "commit"
 
 
 def build_ha_cluster(num_objects: int = 10, **kwargs) -> ClusterCoordinator:

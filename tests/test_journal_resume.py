@@ -15,7 +15,12 @@ import pytest
 from repro.core.operations import ScalingOp
 from repro.server.cmserver import CMServer
 from repro.server.fsck import check_layout
-from repro.server.journal import JournalError, LogicalMove, ScalingJournal
+from repro.server.journal import (
+    JournalCorruptionError,
+    JournalError,
+    LogicalMove,
+    ScalingJournal,
+)
 from repro.server.persistence import (
     restore_server,
     resume_server,
@@ -80,11 +85,26 @@ class TestJournalRecords:
         with pytest.raises(JournalError):
             journal.record_begin(2, ScalingOp.add(1), 5, 6, [])
 
-    def test_apply_before_begin_rejected(self):
-        journal = ScalingJournal()
-        journal._append({"type": "apply", "seq": 1, "block": [0, 0]})
+    def test_apply_before_begin_rejected(self, tmp_path):
+        path = tmp_path / "scaling.journal"
+        path.write_text('{"type":"apply","seq":1,"block":[0,0]}\n')
         with pytest.raises(JournalError):
-            journal.replay()
+            ScalingJournal(path).replay()
+
+    def test_seq_mismatch_rejected(self):
+        # Rejected when written, like the cluster journal: a wrong seq
+        # must not wait for the next recovery to surface.
+        journal = ScalingJournal()
+        journal.record_begin(1, ScalingOp.add(1), 4, 5,
+                             [LogicalMove(BlockId(0, 0), 1, 4)])
+        with pytest.raises(JournalError):
+            journal.record_apply(7, BlockId(0, 0))
+        with pytest.raises(JournalError):
+            journal.record_commit(2)
+        with pytest.raises(JournalError):
+            journal.record_abort(2)
+        (record,) = journal.replay()
+        assert record.open and record.applied == []
 
     def test_file_journal_roundtrip(self, tmp_path):
         path = tmp_path / "scaling.journal"
@@ -112,9 +132,23 @@ class TestJournalRecords:
 
     def test_corruption_elsewhere_raises(self, tmp_path):
         path = tmp_path / "scaling.journal"
-        path.write_text('not json\n{"type": "commit", "seq": 1}\n')
-        with pytest.raises(JournalError):
-            ScalingJournal(path).replay()
+        begin = (
+            '{"type":"begin","seq":1,"op":{"kind":"add","count":1},'
+            '"n_before":4,"n_after":5,"plan":[[0,0,1,4]]}\n'
+        )
+        cases = [
+            ('not json\n{"type": "commit", "seq": 1}\n', 1),
+            # Records that parse but lack a field name their line too.
+            ('{"type":"begin","seq":1}\n{"type":"commit","seq":1}\n', 1),
+            (begin + '{"type":"apply","seq":1}\n{"type":"commit","seq":1}\n',
+             2),
+        ]
+        for text, lineno in cases:
+            path.write_text(text)
+            with pytest.raises(JournalCorruptionError) as excinfo:
+                ScalingJournal(path).replay()
+            assert excinfo.value.lineno == lineno
+            assert f"line {lineno}" in str(excinfo.value)
 
 
 class TestJournaledScaling:
@@ -344,15 +378,21 @@ class TestResume:
         server.finish_scale(pending)
         assert check_layout(server).clean
 
-    def test_mismatched_journal_rejected(self):
-        journal = ScalingJournal()
+    def test_mismatched_journal_rejected(self, tmp_path):
+        path = tmp_path / "scaling.journal"
+        journal = ScalingJournal(path)
         server = make_server(journal=journal)
         snapshot = snapshot_server(server)
         server.scale(ScalingOp.add(1))
+        journal.close()
         # Tamper: pretend the journaled op was a removal.
-        journal._records[0]["op"] = {"kind": "remove", "removed": [0]}
+        lines = path.read_text().splitlines()
+        begin = json.loads(lines[0])
+        begin["op"] = {"kind": "remove", "removed": [0]}
+        lines[0] = json.dumps(begin)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError):
-            resume_server(snapshot, journal)
+            resume_server(snapshot, str(path))
 
 
 class TestSnapshotV2:

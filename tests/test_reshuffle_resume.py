@@ -233,10 +233,11 @@ class TestCrashResume:
         assert pending is None and session is None
         assert logical_layout(resumed) == want
 
-    def test_resume_is_crash_idempotent(self):
+    def test_resume_is_crash_idempotent(self, tmp_path):
         """Crashing during recovery and recovering again is safe: the
         journal is not re-written while replaying (it is detached)."""
-        journal = ScalingJournal()
+        path = tmp_path / "journal.jsonl"
+        journal = ScalingJournal(path)
         server = make_server(journal=journal)
         snapshot = snapshot_server(server)
         pending = server.begin_reshuffle()
@@ -245,17 +246,18 @@ class TestCrashResume:
             op_seq=pending.op_seq,
         ).step(10_000, max_moves=3)
         del server, pending
-        records_before = len(journal._read_raw())
+        records_before = len(path.read_text().splitlines())
 
         # First recovery attempt "crashes" (we just drop it).
         resume_server(snapshot, journal)
-        assert len(journal._read_raw()) == records_before
+        assert len(path.read_text().splitlines()) == records_before
 
         resumed, open_pending, open_session = resume_server(snapshot, journal)
         while not open_session.done:
             open_session.step(10_000)
         resumed.finish_reshuffle(open_pending)
         assert check_layout(resumed).clean
+        journal.close()
 
     def test_torn_final_line_on_reshuffle_record_tolerated(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -283,17 +285,36 @@ class TestCrashResume:
             open_session.step(10_000)
         resumed.finish_reshuffle(open_pending)
         assert check_layout(resumed).clean
+        resumed.journal.close()
 
-    def test_wrong_epoch_rejected(self):
-        journal = ScalingJournal()
+        # The resume wrote its records after the torn fragment, so the
+        # same journal must resume again, quiescent, to the uncrashed
+        # twin's layout.
+        twin = make_server()
+        twin.reshuffle()
+        again, pending_again, session_again = resume_server(
+            snapshot, str(path)
+        )
+        assert pending_again is None and session_again is None
+        assert logical_layout(again) == logical_layout(twin)
+        assert check_layout(again).clean
+
+    def test_wrong_epoch_rejected(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = ScalingJournal(path)
         server = make_server(journal=journal)
         snapshot = snapshot_server(server)
         server.reshuffle()
         del server
+        journal.close()
         # Tamper: claim the journal's reshuffle is epoch 5.
-        journal._records[0]["op"]["epoch"] = 5
+        lines = path.read_text().splitlines()
+        begin = json.loads(lines[0])
+        begin["op"]["epoch"] = 5
+        lines[0] = json.dumps(begin)
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError, match="epoch=5"):
-            resume_server(snapshot, journal)
+            resume_server(snapshot, str(path))
 
 
 class TestSnapshotV4:
