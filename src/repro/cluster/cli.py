@@ -224,25 +224,29 @@ def cluster_main(argv: Sequence[str]) -> int:
             if args.journal is not None
             else None
         )
-        coordinator = ClusterCoordinator.create(
-            args.shards,
-            args.disks_per_shard,
-            DiskSpec(),
-            bits=args.bits,
-            router_backend=args.router,
-            master_seed=args.seed,
-            journal=journal,
-            replication_factor=args.replicas,
-            num_domains=args.domains,
-            replication_policy=(
-                ReplicationPolicy(args.copy_budget)
-                if args.copy_budget is not None
-                else None
-            ),
-        )
-        for i in range(args.objects):
-            coordinator.add_object(f"object-{i}", args.blocks_per_object)
-        _save(snapshot_cluster(coordinator), args.manifest)
+        try:
+            coordinator = ClusterCoordinator.create(
+                args.shards,
+                args.disks_per_shard,
+                DiskSpec(),
+                bits=args.bits,
+                router_backend=args.router,
+                master_seed=args.seed,
+                journal=journal,
+                replication_factor=args.replicas,
+                num_domains=args.domains,
+                replication_policy=(
+                    ReplicationPolicy(args.copy_budget)
+                    if args.copy_budget is not None
+                    else None
+                ),
+            )
+            for i in range(args.objects):
+                coordinator.add_object(f"object-{i}", args.blocks_per_object)
+            _save(snapshot_cluster(coordinator), args.manifest)
+        finally:
+            if journal is not None:
+                journal.close()
         print(_render_status(coordinator))
         print(f"manifest written to {args.manifest}")
         return 0
@@ -284,16 +288,15 @@ def cluster_main(argv: Sequence[str]) -> int:
         return 0 if report.clean else 1
 
     if args.verb == "reshard":
-        coordinator = restore_cluster(
-            _load(args.manifest), journal=ClusterJournal(str(args.journal))
-        )
-        op = (
-            ScalingOp.add(args.add)
-            if args.add is not None
-            else ScalingOp.remove(args.remove)
-        )
-        pending = coordinator.reshard(op)
-        _save(snapshot_cluster(coordinator), args.manifest)
+        with ClusterJournal(str(args.journal)) as journal:
+            coordinator = restore_cluster(_load(args.manifest), journal=journal)
+            op = (
+                ScalingOp.add(args.add)
+                if args.add is not None
+                else ScalingOp.remove(args.remove)
+            )
+            pending = coordinator.reshard(op)
+            _save(snapshot_cluster(coordinator), args.manifest)
         print(
             f"seq={pending.seq} {op.kind} committed: "
             f"{pending.shards_before} -> {pending.shards_after} shards, "
@@ -303,16 +306,15 @@ def cluster_main(argv: Sequence[str]) -> int:
         return 0
 
     if args.verb == "resume":
-        coordinator, pending = resume_cluster(
-            _load(args.manifest), str(args.journal)
-        )
-        if pending is None:
-            print("journal is quiescent; nothing to resume")
-            return 0
-        before = len(pending.applied)
-        coordinator.execute_reshard(pending)
-        coordinator.finish_reshard(pending)
-        _save(snapshot_cluster(coordinator), args.manifest)
+        with ClusterJournal(str(args.journal)) as journal:
+            coordinator, pending = resume_cluster(_load(args.manifest), journal)
+            if pending is None:
+                print("journal is quiescent; nothing to resume")
+                return 0
+            before = len(pending.applied)
+            coordinator.execute_reshard(pending)
+            coordinator.finish_reshard(pending)
+            _save(snapshot_cluster(coordinator), args.manifest)
         print(
             f"seq={pending.seq} resumed: {before} migrations were already "
             f"journaled, {len(pending.applied) - before} re-driven to "

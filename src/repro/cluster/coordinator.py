@@ -62,6 +62,7 @@ from repro.cluster.replication import (
 from repro.cluster.router import ROUTER_SALT, ShardRouter
 from repro.cluster.shard import ShardNode
 from repro.core.operations import ScalingOp
+from repro.server.admission import AdmissionRefusedError
 from repro.server.cmserver import OperationInFlightError, ScaleReport
 from repro.server.health import HealthTransitionError
 from repro.server.ingest import IngestSession
@@ -808,13 +809,21 @@ class ClusterCoordinator:
         report = ClusterRoundReport(round_index=self.round_index)
         self.round_index += 1
         self.health.new_round()
-        if self.replication.tracker is not None and self._streams:
+        tracker = self.replication.tracker
+        if tracker is not None and self._streams:
             # Every admitted stream is one unit of sustained demand for
             # its object this round (stranded streams included — their
             # unmet demand is exactly what the policy should chase).
-            self.replication.tracker.advance_to(self.round_index)
-            for stream_id in sorted(self._streams):
-                self.replication.record_demand(self._streams[stream_id])
+            tracker.advance_to(self.round_index)
+            tracker.record_batch(
+                np.fromiter(
+                    self._streams.values(),
+                    dtype=np.int64,
+                    count=len(self._streams),
+                )
+            )
+            if self.obs.enabled:
+                self.obs.inc("cluster.demand.units", len(self._streams))
         for shard in self._serving_shards():
             if not self.health.is_live(shard.shard_id):
                 continue
@@ -1439,23 +1448,24 @@ class ClusterCoordinator:
         self, shard: ShardNode, local_id: int
     ) -> list[Stream]:
         """Depart every stream a shard serves from one catalog entry."""
+        if shard._scheduler is None:
+            return []
+        scheduler = shard.scheduler
         captured: list[Stream] = []
-        if shard._scheduler is not None:
-            for stream in list(shard.scheduler.streams):
-                if stream.media.object_id == local_id:
-                    captured.append(
-                        shard.scheduler.depart(stream.stream_id)
-                    )
-                    self._stream_shard.pop(stream.stream_id, None)
+        for stream in scheduler.table.streams_of(local_id):
+            captured.append(scheduler.depart(stream.stream_id))
+            self._stream_shard.pop(stream.stream_id, None)
         return captured
 
     def _readmit_streams(self, streams: list[Stream]) -> None:
         """Re-home captured streams at their playback positions.
 
         Each stream is routed through the failover path to whichever
-        live copy can serve it; a stream whose object has no live copy
-        is stranded (its demand keeps counting as hiccups).  Streams
-        that finished during the handoff just depart.
+        live copy can serve it; when that shard's admission control
+        refuses it, the remaining readable copies are tried in route
+        order.  A stream that no copy can take is stranded (its demand
+        keeps counting as hiccups).  Streams that finished during the
+        handoff just depart.
         """
         for old in streams:
             stream_id = old.stream_id
@@ -1471,15 +1481,31 @@ class ClusterCoordinator:
             except ObjectUnavailableError:
                 self._strand(old)
                 continue
-            shard = self.shard(route.shard_id)
-            media = shard.server.catalog.get(
-                self._local_id_on(gid, route.shard_id)
-            )
-            fresh = Stream(stream_id, media, start_block=old.position)
-            if old.state is StreamState.PAUSED:
-                fresh.pause()
+            if self._readmit_on(route.shard_id, gid, old):
+                continue
+            copies = (self.shard_of(gid),) + self._replica_home.get(gid, ())
+            later = copies[copies.index(route.shard_id) + 1:]
+            if not any(
+                self._readmit_on(shard_id, gid, old)
+                for shard_id in later
+                if self.health.is_readable(shard_id, self.round_index)
+            ):
+                self._strand(old)
+
+    def _readmit_on(self, shard_id: int, gid: int, old: Stream) -> bool:
+        """Admit a fresh handle for ``old`` (same position, paused state)
+        on one shard; False when the shard's admission control refuses."""
+        shard = self.shard(shard_id)
+        media = shard.server.catalog.get(self._local_id_on(gid, shard_id))
+        fresh = Stream(old.stream_id, media, start_block=old.position)
+        if old.state is StreamState.PAUSED:
+            fresh.pause()
+        try:
             shard.scheduler.admit(fresh)
-            self._stream_shard[stream_id] = route.shard_id
+        except AdmissionRefusedError:
+            return False
+        self._stream_shard[old.stream_id] = shard_id
+        return True
 
     def _strand(self, stream: Stream) -> None:
         """Park a stream with no live copy left to serve it."""

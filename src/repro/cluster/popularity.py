@@ -50,6 +50,34 @@ __all__ = ["DemandTracker", "ReplicationPolicy"]
 _COMPACT_FLOOR = 1e-9
 
 
+def _add_units(scores: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """``scores[i] + 1.0 + ... + 1.0`` (``units[i]`` additions), rounded
+    exactly as that many one-unit :meth:`DemandTracker.record` calls.
+
+    Adding 1.0 to a float below 2**53 is exact until the sum crosses a
+    power of two; only the crossing addition can round.  So each pass
+    jumps every score to just below its next power of two in one exact
+    add, then performs the crossing add itself — a few passes per
+    binade crossed, not one per unit.
+    """
+    scores = scores.copy()
+    units = units.copy()
+    todo = np.flatnonzero(units)
+    while todo.size:
+        x, k = scores[todo], units[todo]
+        _, exponent = np.frexp(x)
+        room = np.ceil(np.ldexp(1.0, exponent) - x) - 1
+        jump = np.minimum(room, k)
+        x += jump
+        k -= jump.astype(np.int64)
+        cross = k > 0
+        x[cross] += 1.0
+        k[cross] -= 1
+        scores[todo], units[todo] = x, k
+        todo = todo[k > 0]
+    return scores
+
+
 class DemandTracker:
     """Decaying per-object demand, clocked by the cluster round index.
 
@@ -65,6 +93,12 @@ class DemandTracker:
     	flash crowds aggressively; large values smooth them.
     """
 
+    #: Queued batch units past which :meth:`record_batch` folds at once,
+    #: so the queue stays bounded (8 MiB of gids) when reads are routed
+    #: without rounds advancing.  A fold costs O(distinct objects), so a
+    #: cap well above the namespace size keeps it a few ns per unit.
+    PENDING_CAP = 1 << 20
+
     def __init__(self, half_life_rounds: int = 32):
         if half_life_rounds < 1:
             raise ValueError(
@@ -79,10 +113,11 @@ class DemandTracker:
         self.total_units = 0
         #: Batched demand not yet folded into ``_scores`` — raw gid
         #: arrays from the vectorized read path, all stamped at the
-        #: current round.  Folding is lazy (once per read/round), so
-        #: the hot path pays one list-append per batch, not a Python
-        #: loop per object.
+        #: current round.  Folding is lazy (once per read/round, or
+        #: once :data:`PENDING_CAP` units queue up), so the hot path
+        #: pays one list-append per batch, not a Python loop per object.
         self._pending: list[np.ndarray] = []
+        self._pending_units = 0
 
     def __len__(self) -> int:
         self._fold_pending()
@@ -100,16 +135,24 @@ class DemandTracker:
         The vectorized feed for
         :meth:`~repro.cluster.coordinator.ClusterCoordinator.route_reads`:
         duplicates are allowed (each occurrence is one unit) and the
-        array is aggregated lazily at the next read of any score, so
-        recording stays O(1) per batch.
+        array is aggregated lazily at the next read of any score, or
+        as soon as more than :attr:`PENDING_CAP` units are queued, so
+        recording stays O(1) per batch and the queue stays bounded.
         """
         if len(gids) == 0:
             return
         self._pending.append(np.asarray(gids, dtype=np.int64))
+        self._pending_units += len(gids)
         self.total_units += len(gids)
+        if self._pending_units > self.PENDING_CAP:
+            self._fold_pending()
 
     def _fold_pending(self) -> None:
-        """Aggregate queued batches into the score table (one pass)."""
+        """Aggregate queued batches into the score table (one pass).
+
+        The result equals one :meth:`record` call per queued unit, to
+        the last bit (see :func:`_add_units`).
+        """
         if not self._pending:
             return
         gids = (
@@ -118,12 +161,19 @@ class DemandTracker:
             else np.concatenate(self._pending)
         )
         self._pending = []
+        self._pending_units = 0
         unique, counts = np.unique(gids, return_counts=True)
-        for gid, units in zip(unique.tolist(), counts.tolist()):
-            score, stamp = self._scores.get(gid, (0.0, self.round_index))
-            if stamp < self.round_index:
-                score *= self._decay ** (self.round_index - stamp)
-            self._scores[gid] = (score + units, self.round_index)
+        keys = unique.tolist()
+        now = self.round_index
+        decayed = []
+        for gid in keys:
+            score, stamp = self._scores.get(gid, (0.0, now))
+            if stamp < now:
+                score *= self._decay ** (now - stamp)
+            decayed.append(score)
+        totals = _add_units(np.array(decayed, dtype=np.float64), counts)
+        for gid, score in zip(keys, totals.tolist()):
+            self._scores[gid] = (score, now)
 
     def record(self, gid: int, units: int = 1) -> None:
         """Add demand units for one object at the current round."""

@@ -7,6 +7,7 @@ and the Section 6 mirroring extension for fault tolerance.
 """
 
 from repro.server.admission import (
+    AdmissionRefusedError,
     AggregateAdmission,
     StatisticalAdmission,
     UtilizationAdmission,
@@ -72,7 +73,7 @@ from repro.server.persistence import (
 from repro.server.protocol import ServerProtocol
 from repro.server.scheduler import RoundReport, RoundScheduler
 from repro.server.simulation import DaySummary, ServerSimulation
-from repro.server.streams import Stream, StreamState
+from repro.server.streams import Stream, StreamState, StreamTable
 from repro.server.watchdog import (
     BudgetExhaustedError,
     BudgetStatus,
@@ -81,6 +82,7 @@ from repro.server.watchdog import (
 )
 
 __all__ = [
+    "AdmissionRefusedError",
     "AggregateAdmission",
     "BudgetExhaustedError",
     "BudgetStatus",
@@ -135,6 +137,7 @@ __all__ = [
     "StatisticalAdmission",
     "Stream",
     "StreamState",
+    "StreamTable",
     "TransientTransferError",
     "UtilizationAdmission",
     "WatchdogConfig",

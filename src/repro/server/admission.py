@@ -23,6 +23,10 @@ from abc import ABC, abstractmethod
 from repro.storage.array import DiskArray
 
 
+class AdmissionRefusedError(ValueError):
+    """An admission policy refused a stream: the scheduler is full."""
+
+
 class AdmissionPolicy(ABC):
     """Decides whether one more stream of a given rate may be admitted."""
 
@@ -36,19 +40,12 @@ class AdmissionPolicy(ABC):
         active streams.
         """
 
-    @staticmethod
-    def _total_bandwidth(array: DiskArray) -> int:
-        return sum(
-            array.disk(pid).bandwidth_blocks_per_round
-            for pid in array.physical_ids
-        )
-
 
 class AggregateAdmission(AdmissionPolicy):
     """Admit while total demand fits total bandwidth."""
 
     def admits(self, array: DiskArray, active_demand: int, new_rate: int) -> bool:
-        return active_demand + new_rate <= self._total_bandwidth(array)
+        return active_demand + new_rate <= array.total_bandwidth
 
 
 class UtilizationAdmission(AdmissionPolicy):
@@ -67,7 +64,7 @@ class UtilizationAdmission(AdmissionPolicy):
         self.threshold = threshold
 
     def admits(self, array: DiskArray, active_demand: int, new_rate: int) -> bool:
-        budget = self.threshold * self._total_bandwidth(array)
+        budget = self.threshold * array.total_bandwidth
         return active_demand + new_rate <= budget
 
 
@@ -128,6 +125,6 @@ class StatisticalAdmission(AdmissionPolicy):
             self.overflow_probability
         ):
             demand += 1
-            if demand > 10 * self._total_bandwidth(array):
+            if demand > 10 * array.total_bandwidth:
                 break  # safety valve; capacity-bound long before this
         return demand

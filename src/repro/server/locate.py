@@ -14,9 +14,10 @@ Two implementations:
   dispatch overhead of the scalar path.
 * :class:`BackendBatchLocator` computes placements wholesale through the
   backend's ``locate_batch`` kernel over cached per-object ``X0``
-  arrays.  This is the millions-of-reads/sec path; it assumes the
-  inventory agrees with the computed placement (no scaling operation in
-  flight), exactly like :meth:`CMServer.block_location`.
+  arrays, each keyed by the object's seed.  This is the
+  millions-of-reads/sec path; it assumes the inventory agrees with the
+  computed placement (no scaling operation in flight), exactly like
+  :meth:`CMServer.block_location`.
 """
 
 from __future__ import annotations
@@ -71,37 +72,32 @@ class BackendBatchLocator:
     Caches each object's ``X0`` sequence as a ``uint64`` array on first
     touch (the catalog's seeded sequence is the source of truth, same as
     :meth:`CMServer._x0_of`), groups the batch by object, and resolves
-    logical disks with one ``locate_batch`` call.  Call
-    :meth:`invalidate` after catalog churn or a reshuffle.
+    logical disks with one ``locate_batch`` call.  Each cache entry is
+    keyed by the seed it was computed from, so a re-seeded object (a
+    reshuffle) can never be served from a stale entry.
     """
 
     def __init__(self, server: "CMServer"):
         self.server = server
-        self._x0_cache: dict[int, np.ndarray] = {}
-
-    def invalidate(self, object_id: int | None = None) -> None:
-        """Drop cached ``X0`` arrays (all objects when ``object_id`` is
-        ``None``) — required after ``reshuffle()`` re-seeds sequences."""
-        if object_id is None:
-            self._x0_cache.clear()
-        else:
-            self._x0_cache.pop(object_id, None)
+        #: object id -> (seed, X0 array computed from that seed).
+        self._x0_cache: dict[int, tuple[int, np.ndarray]] = {}
 
     def _x0_array(self, object_id: int) -> np.ndarray:
+        server = self.server
+        media = server.catalog.get(object_id)
         cached = self._x0_cache.get(object_id)
-        if cached is None:
-            server = self.server
-            media = server.catalog.get(object_id)
-            cached = np.fromiter(
-                (
-                    server.block_x0(object_id, index)
-                    for index in range(media.num_blocks)
-                ),
-                dtype=np.uint64,
-                count=media.num_blocks,
-            )
-            self._x0_cache[object_id] = cached
-        return cached
+        if cached is not None and cached[0] == media.seed:
+            return cached[1]
+        x0s = np.fromiter(
+            (
+                server.block_x0(object_id, index)
+                for index in range(media.num_blocks)
+            ),
+            dtype=np.uint64,
+            count=media.num_blocks,
+        )
+        self._x0_cache[object_id] = (media.seed, x0s)
+        return x0s
 
     def locate_physical(
         self, object_ids: np.ndarray, block_indices: np.ndarray

@@ -19,13 +19,18 @@ The scheduler has two serving paths:
   budget per round on verify/repair.  Every round then satisfies the
   conservation invariant ``requested == served + hiccups + queued``.
 
-Each path exists in two implementations: the original **scalar** loop
-(the semantic oracle, one ``(stream, block)`` pair at a time) and a
-**vectorized** round planner (``vectorized=True``, the default) that
-gathers the whole round's demand into arrays
+Admitted streams live in a :class:`~repro.server.streams.StreamTable`
+(one numpy column per field, rows in admission order).  Each path
+exists in two implementations: the original **scalar** loop (the
+semantic oracle, one ``(stream, block)`` pair at a time through the
+:class:`~repro.server.streams.Stream` handles) and a **vectorized**
+round planner (``vectorized=True``, the default) that gathers the whole
+round's demand from the table's columns
 (:func:`~repro.server.streams.gather_round_demand`), resolves locations
-through a batch locator, and settles per-disk bandwidth with
-``np.bincount`` plus segmented rank arithmetic.  The vectorized planner
+through a batch locator, settles per-disk bandwidth with
+``np.bincount`` plus segmented rank arithmetic, and advances every row
+at once (:meth:`~repro.server.streams.StreamTable.deliver`).  The
+vectorized planner
 is bit-identical to the scalar one — same reports, same per-stream
 hiccup ledger, same obs event sequence (``tests/test_scheduler_parity``
 pins this).  On the degraded path, reads whose primary disk is healthy
@@ -61,7 +66,13 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.server.streams import RoundDemand, Stream, gather_round_demand
+from repro.server.admission import AdmissionRefusedError
+from repro.server.streams import (
+    RoundDemand,
+    Stream,
+    StreamTable,
+    gather_round_demand,
+)
 from repro.storage.array import DiskArray
 from repro.storage.block import BlockId
 
@@ -220,13 +231,10 @@ class RoundScheduler:
         self.scrubber = scrubber
         self.obs = obs if obs is not None else NULL_OBS
         self.vectorized = vectorized
-        self._streams: dict[int, Stream] = {}
+        #: The admitted streams, one row each in admission order.
+        self.table = StreamTable()
         self._round_index = 0
         self.total_hiccups = 0
-        #: Running total of active streams' demand (blocks/round), kept
-        #: exact by per-stream activity watchers — O(1) per admission
-        #: instead of a full re-sum.
-        self._active_demand = 0
         #: Cumulative hiccups charged to each stream id (fairness data).
         self.hiccups_by_stream: dict[int, int] = defaultdict(int)
         #: (stream id, block id) pairs queued last round: the next
@@ -240,17 +248,17 @@ class RoundScheduler:
     @property
     def streams(self) -> tuple[Stream, ...]:
         """All admitted streams (including finished ones)."""
-        return tuple(self._streams.values())
+        return self.table.handles()
 
     @property
     def active_streams(self) -> int:
         """Streams currently demanding blocks."""
-        return sum(1 for s in self._streams.values() if s.is_active)
+        return self.table.active_count()
 
     @property
     def active_demand(self) -> int:
         """Aggregate demand (blocks/round) of currently active streams."""
-        return self._active_demand
+        return self.table.active_demand
 
     def admit(self, stream: Stream) -> None:
         """Admit a stream, subject to the configured admission policy.
@@ -258,37 +266,26 @@ class RoundScheduler:
         The default :class:`~repro.server.admission.AggregateAdmission`
         rejects streams whose rate would push aggregate demand past the
         array's aggregate bandwidth; statistical policies leave headroom
-        for the per-disk variance of random placement.
+        for the per-disk variance of random placement.  A refusal raises
+        :class:`~repro.server.admission.AdmissionRefusedError`.
         """
-        if stream.stream_id in self._streams:
+        if stream.stream_id in self.table:
             raise ValueError(f"stream id {stream.stream_id} already admitted")
+        active = self.table.active_demand
         if not self.admission.admits(
-            self.array, self._active_demand, stream.media.blocks_per_round
+            self.array, active, stream.media.blocks_per_round
         ):
-            raise ValueError(
+            raise AdmissionRefusedError(
                 f"admission denied by {type(self.admission).__name__}: "
-                f"active demand {self._active_demand} + new rate "
+                f"active demand {active} + new rate "
                 f"{stream.media.blocks_per_round} blocks/round"
             )
-        self._streams[stream.stream_id] = stream
-        if stream.is_active:
-            self._active_demand += stream.media.blocks_per_round
-        stream.add_activity_watcher(self._on_activity_change)
+        self.table.append(stream)
 
     def depart(self, stream_id: int) -> Stream:
-        """Remove a stream (client disconnect)."""
-        try:
-            stream = self._streams.pop(stream_id)
-        except KeyError:
-            raise KeyError(f"stream id {stream_id} is not admitted")
-        stream.remove_activity_watcher(self._on_activity_change)
-        if stream.is_active:
-            self._active_demand -= stream.media.blocks_per_round
-        return stream
-
-    def _on_activity_change(self, stream: Stream, active: bool) -> None:
-        rate = stream.media.blocks_per_round
-        self._active_demand += rate if active else -rate
+        """Remove a stream (client disconnect); the returned handle keeps
+        its last position and state."""
+        return self.table.remove(stream_id)
 
     # ------------------------------------------------------------------
     # Rounds
@@ -315,10 +312,11 @@ class RoundScheduler:
 
     def _simple_round_scalar(self, report: RoundReport) -> None:
         """The scalar reference: per-disk Python queues in demand order."""
+        streams = self.streams
         demand_by_disk: dict[int, list[tuple[Stream, BlockId]]] = defaultdict(
             list
         )
-        for stream in self._streams.values():
+        for stream in streams:
             for block_id in stream.blocks_needed():
                 demand_by_disk[self._locate(block_id)].append(
                     (stream, block_id)
@@ -339,37 +337,37 @@ class RoundScheduler:
             report.hiccups += len(queue) - served_here
             report.spare_by_physical[pid] = bandwidth - served_here
 
-        for stream in self._streams.values():
+        for stream in streams:
             stream.deliver(served_by_stream.get(stream.stream_id, 0))
 
     def _simple_round_vectorized(self, report: RoundReport) -> None:
         """Batched planning: bincount loads, segmented-rank serving.
 
         Within one disk's queue the scalar path serves in arrival order
-        (stream iteration order); a stable argsort over the slot array
-        preserves exactly that order within each disk segment, so the
-        rank-under-bandwidth mask picks the same winners.
+        (stream iteration order, which is table row order); a stable
+        argsort over the slot array preserves exactly that order within
+        each disk segment, so the rank-under-bandwidth mask picks the
+        same winners.
         """
-        demand = gather_round_demand(self._streams.values())
-        table = self.array.physical_ids
-        n_disks = len(table)
+        table = self.table
+        demand = gather_round_demand(table)
+        pids = self.array.physical_ids
+        n_disks = len(pids)
         bw = np.fromiter(
-            (self.array.disk(pid).bandwidth_blocks_per_round for pid in table),
+            (self.array.disk(pid).bandwidth_blocks_per_round for pid in pids),
             dtype=np.int64,
             count=n_disks,
         )
         if demand.total == 0:
-            zeros = [0] * n_disks
-            report.load_by_physical = dict(zip(table, zeros))
-            report.spare_by_physical = dict(zip(table, bw.tolist()))
-            for stream in demand.streams:
-                stream.deliver(0)
+            report.load_by_physical = dict.fromkeys(pids, 0)
+            report.spare_by_physical = dict(zip(pids, bw.tolist()))
+            table.deliver(np.zeros(table.rows, dtype=np.int64))
             return
 
         physical = self._batch_locator.locate_physical(
             demand.object_ids, demand.block_indices
         )
-        slots, valid = _slots_of(table, physical)
+        slots, valid = _slots_of(pids, physical)
         stream_slots = demand.stream_slots
         if not valid.all():
             # Demand routed outside the array is silently ignored by the
@@ -387,27 +385,26 @@ class RoundScheduler:
         served_mask = ranks < np.repeat(bw, counts)
         sorted_streams = stream_slots[order]
 
-        n_streams = len(demand.streams)
-        served_by_stream = np.bincount(
-            sorted_streams[served_mask], minlength=n_streams
+        n_rows = table.rows
+        served_by_row = np.bincount(
+            sorted_streams[served_mask], minlength=n_rows
         )
         report.requested = int(counts.sum())
         report.served = int(served_per_disk.sum())
         report.hiccups = report.requested - report.served
-        report.load_by_physical = dict(zip(table, counts.tolist()))
+        report.load_by_physical = dict(zip(pids, counts.tolist()))
         report.spare_by_physical = dict(
-            zip(table, (bw - served_per_disk).tolist())
+            zip(pids, (bw - served_per_disk).tolist())
         )
         if report.hiccups:
-            hiccups_by_stream = np.bincount(
-                sorted_streams[~served_mask], minlength=n_streams
+            hiccups_by_row = np.bincount(
+                sorted_streams[~served_mask], minlength=n_rows
             )
-            for slot in np.flatnonzero(hiccups_by_stream):
-                self.hiccups_by_stream[
-                    demand.streams[slot].stream_id
-                ] += int(hiccups_by_stream[slot])
-        for stream, count in zip(demand.streams, served_by_stream.tolist()):
-            stream.deliver(int(count))
+            for row in np.flatnonzero(hiccups_by_row).tolist():
+                self.hiccups_by_stream[table.handle(row).stream_id] += int(
+                    hiccups_by_row[row]
+                )
+        table.deliver(served_by_row)
 
     def _run_round_degraded(self) -> RoundReport:
         """One round through the failover read planner.
@@ -429,8 +426,6 @@ class RoundScheduler:
             for pid in self.array.physical_ids
         }
         report.load_by_physical = {pid: 0 for pid in bandwidth}
-        served_by_stream: dict[int, int] = defaultdict(int)
-        demanded_by_stream: dict[int, int] = defaultdict(int)
         queued_now: set[tuple[int, BlockId]] = set()
         obs = self.obs
 
@@ -445,13 +440,11 @@ class RoundScheduler:
         with obs.span("round.serve", round=report.round_index):
             if use_vectorized:
                 self._degraded_round_vectorized(
-                    planner, report, bandwidth, served_by_stream,
-                    demanded_by_stream, queued_now,
+                    planner, report, bandwidth, queued_now
                 )
             else:
                 self._degraded_round_scalar(
-                    planner, report, bandwidth, served_by_stream,
-                    demanded_by_stream, queued_now,
+                    planner, report, bandwidth, queued_now
                 )
         self._queued_last_round = queued_now
 
@@ -476,12 +469,6 @@ class RoundScheduler:
 
         report.health_by_physical = planner.monitor.snapshot()
 
-        for stream in self._streams.values():
-            stream.deliver(
-                served_by_stream.get(stream.stream_id, 0),
-                demanded=demanded_by_stream.get(stream.stream_id, 0),
-            )
-
         self.total_hiccups += report.hiccups
         self._count_round(report)
         return report
@@ -491,15 +478,18 @@ class RoundScheduler:
         planner: "FailoverReadPlanner",
         report: RoundReport,
         bandwidth: dict[int, int],
-        served_by_stream: dict[int, int],
-        demanded_by_stream: dict[int, int],
         queued_now: set[tuple[int, BlockId]],
     ) -> None:
-        for stream in self._streams.values():
+        """The scalar reference: per-read planning, per-stream delivery."""
+        streams = self.streams
+        served_by_stream: dict[int, int] = defaultdict(int)
+        demanded_by_stream: dict[int, int] = defaultdict(int)
+        for stream in streams:
+            stream_id = stream.stream_id
             for block_id in stream.blocks_needed():
                 report.requested += 1
-                demanded_by_stream[stream.stream_id] += 1
-                if (stream.stream_id, block_id) in self._queued_last_round:
+                demanded_by_stream[stream_id] += 1
+                if (stream_id, block_id) in self._queued_last_round:
                     report.retried += 1
                 outcome = planner.serve(
                     block_id,
@@ -507,18 +497,21 @@ class RoundScheduler:
                     bandwidth,
                     loads=report.load_by_physical,
                 )
-                self._account_degraded_outcome(
-                    stream, block_id, outcome, report,
-                    served_by_stream, queued_now,
-                )
+                if self._account_degraded_outcome(
+                    stream_id, block_id, outcome, report, queued_now
+                ):
+                    served_by_stream[stream_id] += 1
+        for stream in streams:
+            stream.deliver(
+                served_by_stream.get(stream.stream_id, 0),
+                demanded=demanded_by_stream.get(stream.stream_id, 0),
+            )
 
     def _degraded_round_vectorized(
         self,
         planner: "FailoverReadPlanner",
         report: RoundReport,
         bandwidth: dict[int, int],
-        served_by_stream: dict[int, int],
-        demanded_by_stream: dict[int, int],
         queued_now: set[tuple[int, BlockId]],
     ) -> None:
         """Hybrid batched planning over the disk-health state vector.
@@ -530,36 +523,31 @@ class RoundScheduler:
         touches such a disk, found by fixed-point expansion — runs
         through the scalar planner loop in original request order.  The
         two sets touch disjoint disks, so wholesale settling first
-        cannot change what the scalar subset observes.
+        cannot change what the scalar subset observes.  Every row is
+        then delivered at once.
         """
-        demand = gather_round_demand(self._streams.values())
-        streams = demand.streams
-        n_streams = len(streams)
-        if demand.total:
-            demanded_counts = np.bincount(
-                demand.stream_slots, minlength=n_streams
-            )
-            for slot in np.flatnonzero(demanded_counts):
-                demanded_by_stream[streams[slot].stream_id] += int(
-                    demanded_counts[slot]
-                )
+        table = self.table
+        demand = gather_round_demand(table)
+        n_rows = table.rows
+        served_by_row = np.zeros(n_rows, dtype=np.int64)
         report.requested += demand.total
         if demand.total == 0:
+            table.deliver(served_by_row, demand.counts)
             return
 
-        table = self.array.physical_ids
-        n_disks = len(table)
+        pids = self.array.physical_ids
+        n_disks = len(pids)
         physical = planner.batch_locator.locate_physical(
             demand.object_ids, demand.block_indices
         )
-        slots, valid = _slots_of(table, physical)
+        slots, valid = _slots_of(pids, physical)
         safe_slots = np.where(valid, slots, 0)
         counts = np.bincount(safe_slots[valid], minlength=n_disks)
         bw = np.fromiter(
-            (bandwidth[pid] for pid in table), dtype=np.int64, count=n_disks
+            (bandwidth[pid] for pid in pids), dtype=np.int64, count=n_disks
         )
         fast_disk = np.fromiter(
-            (planner.monitor.serves_unimpeded(pid) for pid in table),
+            (planner.monitor.serves_unimpeded(pid) for pid in pids),
             dtype=bool,
             count=n_disks,
         )
@@ -584,25 +572,21 @@ class RoundScheduler:
             report.served += n_fast
             fast_counts = np.bincount(slots[fast_req], minlength=n_disks)
             loads = report.load_by_physical
-            for slot in np.flatnonzero(fast_counts):
-                pid = table[slot]
+            for slot in np.flatnonzero(fast_counts).tolist():
+                pid = pids[slot]
                 batch = int(fast_counts[slot])
                 loads[pid] += batch
                 bandwidth[pid] -= batch
-            fast_streams = np.bincount(
-                demand.stream_slots[fast_req], minlength=n_streams
+            served_by_row += np.bincount(
+                demand.stream_slots[fast_req], minlength=n_rows
             )
-            for slot in np.flatnonzero(fast_streams):
-                served_by_stream[streams[slot].stream_id] += int(
-                    fast_streams[slot]
-                )
 
         if n_fast != demand.total:
             object_ids = demand.object_ids
             block_indices = demand.block_indices
             stream_slots = demand.stream_slots
             for req in np.flatnonzero(scalar_req).tolist():
-                stream = streams[int(stream_slots[req])]
+                row = int(stream_slots[req])
                 block_id = BlockId(
                     int(object_ids[req]), int(block_indices[req])
                 )
@@ -612,10 +596,12 @@ class RoundScheduler:
                     bandwidth,
                     loads=report.load_by_physical,
                 )
-                self._account_degraded_outcome(
-                    stream, block_id, outcome, report,
-                    served_by_stream, queued_now,
-                )
+                if self._account_degraded_outcome(
+                    table.handle(row).stream_id, block_id, outcome,
+                    report, queued_now,
+                ):
+                    served_by_row[row] += 1
+        table.deliver(served_by_row, demand.counts)
 
     def _expand_slow_set(
         self,
@@ -670,13 +656,13 @@ class RoundScheduler:
 
     def _account_degraded_outcome(
         self,
-        stream: Stream,
+        stream_id: int,
         block_id: BlockId,
         outcome: str,
         report: RoundReport,
-        served_by_stream: dict[int, int],
         queued_now: set[tuple[int, BlockId]],
-    ) -> None:
+    ) -> bool:
+        """Book one planned read; returns whether it was served."""
         from repro.server.reads import (
             PATH_MIRROR,
             PATH_PARITY,
@@ -688,7 +674,6 @@ class RoundScheduler:
         obs = self.obs
         if outcome in SERVED_PATHS:
             report.served += 1
-            served_by_stream[stream.stream_id] += 1
             if outcome == PATH_MIRROR:
                 report.failover_reads += 1
             elif outcome == PATH_PARITY:
@@ -700,12 +685,14 @@ class RoundScheduler:
                     path=outcome,
                     round=report.round_index,
                 )
-        elif outcome == READ_QUEUED:
+            return True
+        if outcome == READ_QUEUED:
             report.queued += 1
-            queued_now.add((stream.stream_id, block_id))
+            queued_now.add((stream_id, block_id))
         else:
             report.hiccups += 1
-            self.hiccups_by_stream[stream.stream_id] += 1
+            self.hiccups_by_stream[stream_id] += 1
+        return False
 
     def _count_round(self, report: RoundReport) -> None:
         """Fold one round's totals into the obs counters (batched)."""

@@ -48,6 +48,7 @@ class DiskArray:
         self._block: dict[BlockId, Block] = {}
         self._blocks_moved = 0
         self._inventory_version = 0
+        self._total_bandwidth = 0
         for spec in specs:
             self._attach(Disk(spec=spec))
 
@@ -58,6 +59,11 @@ class DiskArray:
     def num_disks(self) -> int:
         """Current disk count ``N``."""
         return len(self._logical_order)
+
+    @property
+    def total_bandwidth(self) -> int:
+        """Summed bandwidth of the attached disks (block reads/round)."""
+        return self._total_bandwidth
 
     @property
     def physical_ids(self) -> tuple[int, ...]:
@@ -135,7 +141,9 @@ class DiskArray:
                 )
         for logical in reversed(removed):
             pid = self._logical_order.pop(logical)
-            detached.append(self._disks.pop(pid))
+            disk = self._disks.pop(pid)
+            self._total_bandwidth -= disk.bandwidth_blocks_per_round
+            detached.append(disk)
             del self._contents[pid]
         detached.reverse()
         return detached
@@ -236,6 +244,7 @@ class DiskArray:
     # ------------------------------------------------------------------
     def _attach(self, disk: Disk) -> int:
         self._disks[disk.physical_id] = disk
+        self._total_bandwidth += disk.bandwidth_blocks_per_round
         self._logical_order.append(disk.physical_id)
         self._contents[disk.physical_id] = set()
         return disk.physical_id

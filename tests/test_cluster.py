@@ -188,6 +188,38 @@ class TestServing:
         with pytest.raises(KeyError):
             coordinator.depart_stream(7)
 
+    def test_round_after_reshuffle_reads_the_new_homes(self):
+        """The batch locator's cached X0 arrays must follow a reshuffle's
+        fresh seeds: every block the next round demands is charged to
+        the disk the inventory holds it on."""
+        from collections import Counter
+
+        from repro.server.streams import gather_round_demand
+        from repro.storage.block import BlockId
+
+        coordinator = build_cluster(num_shards=2, num_objects=6)
+        for sid in range(24):
+            coordinator.admit_stream(sid, sid % 6, start_block=sid % 30)
+        coordinator.run_rounds(2)  # warms the X0 caches
+        for shard_id in coordinator.shard_ids:
+            coordinator.reshuffle_shard(shard_id)
+        expected = {}
+        for shard in coordinator.shards:
+            demand = gather_round_demand(shard.scheduler.table)
+            homes = Counter(
+                shard.server.array.home_of(BlockId(oid, index))
+                for oid, index in zip(
+                    demand.object_ids.tolist(), demand.block_indices.tolist()
+                )
+            )
+            expected[shard.shard_id] = {
+                pid: homes.get(pid, 0) for pid in shard.server.array.physical_ids
+            }
+        report = coordinator.run_round()
+        assert report.requested == 24
+        for shard_id, shard_report in report.reports.items():
+            assert shard_report.load_by_physical == expected[shard_id]
+
 
 class TestReshard:
     def test_add_shards_moves_minimally(self):

@@ -680,3 +680,79 @@ class TestDeterminism:
         for stream_id in range(100, 106):
             stream = coordinator.depart_stream(stream_id)
             assert stream.state in (StreamState.PLAYING, StreamState.DONE)
+
+
+class TestRefusedFailover:
+    """A survivor's admission control refusing a failed-over viewer
+    must never lose the viewer: the next live copy in route order is
+    tried, and the viewer is stranded only when every copy refuses."""
+
+    @staticmethod
+    def full_cluster(replication_factor: int) -> ClusterCoordinator:
+        coordinator = ClusterCoordinator.create(
+            3, 1,
+            DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=4),
+            bits=32, master_seed=0x1A,
+            replication_factor=replication_factor,
+        )
+        for i in range(6):
+            coordinator.add_object(f"title-{i}", 30)
+        return coordinator
+
+    @staticmethod
+    def viewer_homes(coordinator, viewers) -> dict:
+        """stream id -> the live shards serving it (stranded: none)."""
+        homes: dict = {sid: [] for sid in viewers}
+        for shard in coordinator.shards:
+            if coordinator.health.is_live(shard.shard_id):
+                for stream in shard.scheduler.streams:
+                    homes[stream.stream_id].append(shard.shard_id)
+        return homes
+
+    def test_every_viewer_served_once_or_stranded(self):
+        coordinator = self.full_cluster(replication_factor=2)
+        admitted, gid = [], 0
+        while len(admitted) < 8:  # fill each home shard, then move on
+            try:
+                coordinator.admit_stream(len(admitted), gid, len(admitted))
+                admitted.append(len(admitted))
+            except ValueError:
+                gid += 1
+        busiest = max(
+            coordinator.shard_ids,
+            key=lambda sid: len(coordinator.shard(sid).scheduler.streams),
+        )
+        report = coordinator.kill_shard(busiest)
+        homes = self.viewer_homes(coordinator, admitted)
+        for sid in admitted:
+            stranded = sid in coordinator._stranded
+            assert len(homes[sid]) == (0 if stranded else 1), sid
+        assert report.streams_stranded == len(coordinator._stranded) > 0
+        round_report = coordinator.run_round()
+        assert round_report.stranded > 0
+        assert round_report.availability < 1.0
+
+    def test_refusal_falls_through_to_the_next_copy(self):
+        from repro.server.admission import AdmissionRefusedError
+
+        coordinator = self.full_cluster(replication_factor=3)
+        victim = coordinator.shard_of(0)
+        first, second = coordinator.replicas_of(0)
+        # Fill the first failover target to its admission limit.
+        sid = 0
+        for gid in coordinator.object_ids:
+            while coordinator.shard_of(gid) == first:
+                try:
+                    coordinator.admit_stream(100 + sid, gid)
+                except AdmissionRefusedError:
+                    break
+                sid += 1
+        assert sid == 4
+        coordinator.admit_stream(0, 0, start_block=5)
+        coordinator.admit_stream(1, 0, start_block=9)
+        coordinator.shard(victim).scheduler.streams[1].pause()
+        report = coordinator.kill_shard(victim)
+        assert report.streams_stranded == 0
+        moved = {s.stream_id: s for s in coordinator.shard(second).scheduler.streams}
+        assert moved[0].position == 5 and moved[1].position == 9
+        assert moved[1].state is StreamState.PAUSED

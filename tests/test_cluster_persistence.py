@@ -150,7 +150,7 @@ class TestResume:
         coordinator.finish_reshard(pending)
         expected = cluster_layout(coordinator)
         coordinator.journal.close()
-        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
         begin = [l for l in lines if json.loads(l)["type"] == "begin"]
         applies = [l for l in lines if json.loads(l)["type"] == "apply"]
         assert len(applies) == len(pending.moves) >= 3
@@ -238,7 +238,7 @@ class TestResume:
         coordinator.journal.close()
         # Tamper with the journaled plan: resume must notice the
         # re-derived plan disagrees.
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         entries = [json.loads(line) for line in lines]
         for entry in entries:
             if entry["type"] == "begin" and entry["plan"]:
@@ -256,7 +256,7 @@ class TestResume:
         coordinator.journal.close()
         entries = [
             json.loads(line)
-            for line in open(path, encoding="utf-8").read().splitlines()
+            for line in Path(path).read_text(encoding="utf-8").splitlines()
         ]
         for entry in entries:
             entry["seq"] += 5
@@ -285,6 +285,8 @@ class TestResume:
         resumed, pending = resume_cluster(
             manifest, cluster_path, shard_journals={0: shard_path}
         )
+        resumed.journal.close()
+        resumed.shard(0).server.journal.close()
         assert pending is None
         # The open disk-level op was completed synchronously.
         assert resumed.shard(0).server.num_disks == disks_before + 1
@@ -582,7 +584,7 @@ class TestRebuildResume:
         expected_replicas = dict(coordinator._replica_home)
         coordinator.journal.close()
 
-        lines = open(path, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
         begin = [l for l in lines if json.loads(l)["type"] == "begin"]
         applies = [l for l in lines if json.loads(l)["type"] == "apply"]
         assert json.loads(begin[0])["rebuild_of"] == victim
@@ -631,4 +633,5 @@ class TestRebuildResume:
         assert resumed.health.state(victim) is ShardHealth.DEAD
         assert check_cluster(resumed).clean
         resumed.rebuild_shard(victim)
+        resumed.journal.close()
         assert check_cluster(resumed).fully_replicated

@@ -103,6 +103,48 @@ class TestDemandTracker:
         for gid in {1, 2, 3}:
             assert batched.demand(gid) == scalar.demand(gid)
 
+        # Decayed, non-integer scores: the fold still matches one-unit
+        # records to the last bit.  Bursts of up to 1,500 units on
+        # objects idle for a few rounds cross several powers of two,
+        # where adding k units at once rounds differently.
+        import random
+
+        rng = random.Random(17)
+        scalar = DemandTracker(half_life_rounds=2)
+        batched = DemandTracker(half_life_rounds=2)
+        for round_index in range(1, 60):
+            scalar.advance_to(round_index)
+            batched.advance_to(round_index)
+            reads = []
+            for gid in rng.sample(range(12), 3):
+                reads += [gid] * rng.randrange(1, 1_500)
+            rng.shuffle(reads)
+            for gid in reads:
+                scalar.record(gid)
+            batched.record_batch(np.array(reads, dtype=np.int64))
+            for gid in range(12):
+                assert batched.demand(gid) == scalar.demand(gid), (
+                    round_index, gid,
+                )
+
+    def test_record_batch_queue_is_bounded(self, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setattr(DemandTracker, "PENDING_CAP", 10_000)
+        tracker = DemandTracker(half_life_rounds=4)
+        scalar = DemandTracker(half_life_rounds=4)
+        scalar.record(3)
+        tracker.record(3)
+        batch = np.arange(1_000, dtype=np.int64) % 7
+        for _ in range(300):  # 300k units with the clock standing still
+            tracker.record_batch(batch)
+            queued = sum(len(gids) for gids in tracker._pending)
+            assert queued <= DemandTracker.PENDING_CAP
+        for gid in batch.tolist() * 300:
+            scalar.record(gid)
+        for gid in range(7):
+            assert tracker.demand(gid) == scalar.demand(gid)
+
     def test_record_batch_folds_before_the_clock_moves(self):
         import numpy as np
 

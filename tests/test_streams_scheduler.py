@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.server.objects import MediaObject
@@ -217,40 +218,119 @@ class TestDemandWindow:
         assert s.demand_window()[1] == 0
 
 
-class TestActivityWatchers:
-    def test_fires_on_flips_only(self):
-        events = []
-        s = Stream(1, media(num_blocks=3))
-        s.add_activity_watcher(lambda stream, active: events.append(active))
-        s.deliver(1)  # still active: no event
-        s.pause()
-        s.pause()  # already paused: no event
-        s.resume()
-        s.deliver(2)  # finishes
-        s.seek(0)  # revives
-        assert events == [False, True, False, True]
+class TestStreamTable:
+    def test_active_demand_follows_flips(self):
+        from repro.server.streams import StreamTable
 
-    def test_remove_watcher(self):
-        events = []
-        watcher = lambda stream, active: events.append(active)  # noqa: E731
-        s = Stream(1, media())
-        s.add_activity_watcher(watcher)
-        s.remove_activity_watcher(watcher)
+        table = StreamTable()
+        s = Stream(1, media(num_blocks=3, rate=2))
+        table.append(s)
+        demands = [table.active_demand]
+        s.deliver(1)  # still playing
+        demands.append(table.active_demand)
         s.pause()
-        assert events == []
+        s.pause()  # already paused: no change
+        demands.append(table.active_demand)
+        s.resume()
+        demands.append(table.active_demand)
+        s.deliver(2)  # finishes
+        demands.append(table.active_demand)
+        s.seek(0)  # revives
+        demands.append(table.active_demand)
+        assert demands == [2, 2, 0, 2, 0, 2]
+
+    def test_handle_is_a_view_while_admitted(self):
+        from repro.server.streams import StreamTable
+
+        table = StreamTable()
+        s = Stream(7, media(num_blocks=10), start_block=3)
+        table.append(s)
+        table.position[0] = 5
+        assert s.position == 5
+        s.seek(8)
+        assert int(table.position[0]) == 8
+        assert table.handles() == (s,)
+        with pytest.raises(ValueError):
+            StreamTable().append(s)  # one table at a time
+
+    def test_departed_handle_keeps_last_values(self):
+        from repro.server.streams import StreamTable
+
+        table = StreamTable()
+        s = Stream(1, media(num_blocks=4))
+        table.append(s)
+        table.deliver(np.array([4]))
+        assert table.remove(1) is s
+        assert (s.position, s.state, s.blocks_consumed) == (
+            4, StreamState.DONE, 4,
+        )
+        table.append(Stream(2, media(num_blocks=4)))
+        assert s.position == 4  # no longer reads the (reused) row
+
+    def test_batch_deliver_matches_per_stream_deliver(self):
+        from repro.server.streams import StreamTable
+
+        objects = [media(num_blocks=6, rate=r, object_id=r) for r in (1, 2, 3)]
+        twins = [
+            [Stream(sid, obj, start_block=sid % 5) for sid, obj in
+             enumerate(objects * 3)]
+            for _ in range(2)
+        ]
+        table = StreamTable()
+        for stream in twins[1]:
+            table.append(stream)
+        twins[0][4].pause()
+        twins[1][4].pause()
+        served = np.array([0, 1, 3, 2, 0, 1, 1, 0, 2])
+        demanded = table.window_counts()
+        for stream, count, want in zip(twins[0], served, demanded):
+            stream.deliver(int(count), demanded=int(want))
+        table.deliver(served, demanded)
+        assert [
+            (s.position, s.state, s.stall_rounds, s.blocks_consumed)
+            for s in twins[0]
+        ] == [
+            (s.position, s.state, s.stall_rounds, s.blocks_consumed)
+            for s in twins[1]
+        ]
+        assert table.active_demand == sum(
+            s.media.blocks_per_round for s in twins[0] if s.is_active
+        )
+
+    def test_compaction_keeps_admission_order(self):
+        from repro.server.streams import StreamTable
+
+        table = StreamTable()
+        streams = [Stream(sid, media()) for sid in range(100)]
+        for stream in streams:
+            table.append(stream)
+        for sid in range(0, 100, 3):
+            table.remove(sid)
+        for sid in range(1, 100, 3):
+            table.remove(sid)
+        kept = [s for s in streams if s.stream_id % 3 == 2]
+        assert table.rows < len(streams)  # compacted on the way
+        assert table.handles() == tuple(kept)
+        assert all(s.position == 0 and s.is_active for s in kept)
+        assert table.streams_of(0) == kept
 
 
 class TestGatherRoundDemand:
     def test_matches_blocks_needed(self):
         from repro.server.streams import gather_round_demand
 
+        from repro.server.streams import StreamTable
+
         streams = [
             Stream(0, media(num_blocks=10, rate=2)),
             Stream(1, media(num_blocks=10, rate=3, object_id=1), start_block=8),
             Stream(2, media(num_blocks=10, rate=1, object_id=2)),
         ]
+        table = StreamTable()
+        for stream in streams:
+            table.append(stream)
         streams[2].pause()
-        demand = gather_round_demand(streams)
+        demand = gather_round_demand(table)
         expected = [
             (s.media.object_id, b.index, slot)
             for slot, s in enumerate(streams)
@@ -268,9 +348,9 @@ class TestGatherRoundDemand:
         assert demand.counts.tolist() == [2, 2, 0]
 
     def test_empty(self):
-        from repro.server.streams import gather_round_demand
+        from repro.server.streams import StreamTable, gather_round_demand
 
-        assert gather_round_demand([]).total == 0
+        assert gather_round_demand(StreamTable()).total == 0
 
 
 class TestActiveDemandAccounting:
