@@ -14,9 +14,8 @@ Three sections, each with a hard floor, persisted to
 * **serving** — a standalone single shard vs the same shard shape inside
   a cluster round barrier: the in-cluster per-shard rate must hold
   ``min_efficiency`` of the standalone rate (the barrier adds only
-  bookkeeping), and the cluster's aggregate is reported both as measured
-  in-process and modeled as ``shards x per-shard rate`` (shards share
-  nothing; a deployment runs them on separate machines).
+  bookkeeping).  Every rate is wall-clock time measured in this one
+  process.
 
 Usage::
 
@@ -219,9 +218,7 @@ def run_cluster_serving(cfg: dict) -> dict:
     elapsed = time.perf_counter() - start
     # The barrier serializes the shards in this process, so the whole
     # elapsed window is shard work: one shard's rate while being driven
-    # (coordinator overhead included, amortized) is served/elapsed, and
-    # a deployment running the shards on separate machines aggregates
-    # ``shards`` times that.
+    # (coordinator overhead included, amortized) is served/elapsed.
     per_shard_rate = served / elapsed
     return {
         "shards": cfg["shards"],
@@ -232,7 +229,6 @@ def run_cluster_serving(cfg: dict) -> dict:
         "seconds": round(elapsed, 6),
         "reads_per_sec_measured": int(served / elapsed),
         "reads_per_sec_per_shard": int(per_shard_rate),
-        "reads_per_sec_modeled": int(per_shard_rate * cfg["shards"]),
     }
 
 
@@ -278,11 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         f"serving   : standalone {standalone['reads_per_sec']:,}/s, "
         f"in-cluster per shard {cluster['reads_per_sec_per_shard']:,}/s "
         f"(efficiency {efficiency:.2f}, floor {cfg['min_efficiency']:.2f})"
-    )
-    print(
-        f"aggregate : {cluster['reads_per_sec_modeled']:,} reads/s modeled "
-        f"over {cfg['shards']} shards "
-        f"({cluster['reads_per_sec_measured']:,}/s measured in-process)"
     )
 
     payload = {

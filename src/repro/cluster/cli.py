@@ -224,29 +224,28 @@ def cluster_main(argv: Sequence[str]) -> int:
             if args.journal is not None
             else None
         )
+        coordinator = ClusterCoordinator.create(
+            args.shards,
+            args.disks_per_shard,
+            DiskSpec(),
+            bits=args.bits,
+            router_backend=args.router,
+            master_seed=args.seed,
+            journal=journal,
+            replication_factor=args.replicas,
+            num_domains=args.domains,
+            replication_policy=(
+                ReplicationPolicy(args.copy_budget)
+                if args.copy_budget is not None
+                else None
+            ),
+        )
         try:
-            coordinator = ClusterCoordinator.create(
-                args.shards,
-                args.disks_per_shard,
-                DiskSpec(),
-                bits=args.bits,
-                router_backend=args.router,
-                master_seed=args.seed,
-                journal=journal,
-                replication_factor=args.replicas,
-                num_domains=args.domains,
-                replication_policy=(
-                    ReplicationPolicy(args.copy_budget)
-                    if args.copy_budget is not None
-                    else None
-                ),
-            )
             for i in range(args.objects):
                 coordinator.add_object(f"object-{i}", args.blocks_per_object)
             _save(snapshot_cluster(coordinator), args.manifest)
         finally:
-            if journal is not None:
-                journal.close()
+            coordinator.close()
         print(_render_status(coordinator))
         print(f"manifest written to {args.manifest}")
         return 0
@@ -274,6 +273,7 @@ def cluster_main(argv: Sequence[str]) -> int:
             coordinator, pending = resume_cluster(
                 _load(args.manifest), str(args.journal)
             )
+            coordinator.close()
             report = check_cluster(coordinator, pending)
         else:
             coordinator = restore_cluster(_load(args.manifest))
@@ -288,8 +288,10 @@ def cluster_main(argv: Sequence[str]) -> int:
         return 0 if report.clean else 1
 
     if args.verb == "reshard":
-        with ClusterJournal(str(args.journal)) as journal:
-            coordinator = restore_cluster(_load(args.manifest), journal=journal)
+        coordinator = restore_cluster(
+            _load(args.manifest), journal=ClusterJournal(str(args.journal))
+        )
+        try:
             op = (
                 ScalingOp.add(args.add)
                 if args.add is not None
@@ -297,6 +299,8 @@ def cluster_main(argv: Sequence[str]) -> int:
             )
             pending = coordinator.reshard(op)
             _save(snapshot_cluster(coordinator), args.manifest)
+        finally:
+            coordinator.close()
         print(
             f"seq={pending.seq} {op.kind} committed: "
             f"{pending.shards_before} -> {pending.shards_after} shards, "
@@ -306,8 +310,10 @@ def cluster_main(argv: Sequence[str]) -> int:
         return 0
 
     if args.verb == "resume":
-        with ClusterJournal(str(args.journal)) as journal:
-            coordinator, pending = resume_cluster(_load(args.manifest), journal)
+        coordinator, pending = resume_cluster(
+            _load(args.manifest), str(args.journal)
+        )
+        try:
             if pending is None:
                 print("journal is quiescent; nothing to resume")
                 return 0
@@ -315,6 +321,8 @@ def cluster_main(argv: Sequence[str]) -> int:
             coordinator.execute_reshard(pending)
             coordinator.finish_reshard(pending)
             _save(snapshot_cluster(coordinator), args.manifest)
+        finally:
+            coordinator.close()
         print(
             f"seq={pending.seq} resumed: {before} migrations were already "
             f"journaled, {len(pending.applied) - before} re-driven to "

@@ -648,15 +648,22 @@ class ClusterCoordinator:
         health monitor, so repeated failures trip the breaker and later
         reads skip the shard without paying the retry latency.
 
+        A home that serves unimpeded (healthy, breaker quiescent) with
+        no fault injector attached answers on the first attempt, and a
+        success leaves a quiescent breaker unchanged, so that route is
+        returned without entering the loop.
+
         Raises
         ------
         ObjectUnavailableError
             When no copy could serve the read.
         """
-        if round_index is None:
-            round_index = self.round_index
         home = self.shard_of(object_id)
         self.replication.record_demand(object_id)
+        if self.fault_injector is None and self.health.serves_unimpeded(home):
+            return ReadRoute(object_id, home, 1, 0, False, (home,))
+        if round_index is None:
+            round_index = self.round_index
         cfg = self.failover
         path: list[int] = []
         attempts = 0
@@ -769,16 +776,13 @@ class ClusterCoordinator:
         """
         if stream_id in self._streams:
             raise ValueError(f"stream id {stream_id} already admitted")
-        self.shard_of(object_id)  # existence check with the same error
-        route = self.route_read(object_id)
-        shard = self.shard(route.shard_id)
-        media = shard.server.catalog.get(
-            self._local_id_on(object_id, route.shard_id)
-        )
+        shard_id = self.route_read(object_id).shard_id
+        shard = self._shard_by_id[shard_id]
+        media = shard.server.catalog.get(self._local_id_on(object_id, shard_id))
         stream = Stream(stream_id, media, start_block=start_block)
         shard.scheduler.admit(stream)
         self._streams[stream_id] = object_id
-        self._stream_shard[stream_id] = route.shard_id
+        self._stream_shard[stream_id] = shard_id
         return stream
 
     def depart_stream(self, stream_id: int) -> Stream:
@@ -1551,6 +1555,17 @@ class ClusterCoordinator:
             raise ValueError(
                 "this pending rebalance does not belong to this coordinator"
             )
+
+    def close(self) -> None:
+        """Close the journal files the cluster holds: the coordinator's
+        own journal and every shard server's, draining shards included
+        (a resumed cluster opened them from paths).  In-memory journals
+        are unaffected, and a second call does nothing."""
+        if self.journal is not None:
+            self.journal.close()
+        for shard in self._shard_by_id.values():
+            if shard.server.journal is not None:
+                shard.server.journal.close()
 
     def __repr__(self) -> str:
         return (

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.server.faults import derive_seed
 from repro.server.health import CircuitBreaker, HealthTransitionError
@@ -114,14 +114,14 @@ class FailoverConfig:
             )
 
 
-@dataclass(frozen=True)
-class ReadRoute:
+class ReadRoute(NamedTuple):
     """Where one routed read landed and what it cost getting there.
 
     ``path`` lists every shard considered in order (the home shard
     first); ``shard_id`` is the one that served.  ``backoff_rounds`` is
     the total backoff charged across retries — the latency the retry
-    policy spent before giving up or succeeding.
+    policy spent before giving up or succeeding.  Immutable; a named
+    tuple because every admission builds one.
     """
 
     object_id: int

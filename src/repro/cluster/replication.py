@@ -213,6 +213,8 @@ class ClusterReplicationManager:
         needed = self.target_of(gid) - len(used_shards)
         if needed > 0:
             for sid in self._candidates(gid, used_shards, used_domains):
+                if self._domain(sid) in used_domains:
+                    continue  # a copy made in this loop took the domain
                 self._copy_to(gid, sid)
                 created.append(sid)
                 used_shards.add(sid)

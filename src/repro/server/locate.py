@@ -13,8 +13,9 @@ Two implementations:
   they belong — but loops per block, so it only removes the per-call
   dispatch overhead of the scalar path.
 * :class:`BackendBatchLocator` computes placements wholesale through the
-  backend's ``locate_batch`` kernel over cached per-object ``X0``
-  arrays, each keyed by the object's seed.  This is the
+  backend's ``locate_batch`` kernel over one ``X0`` column per server
+  (a segment per object, kept with the catalog entry it came from):
+  one gather and one kernel call per round.  This is the
   millions-of-reads/sec path; it assumes the inventory agrees with the
   computed placement (no scaling operation in flight), exactly like
   :meth:`CMServer.block_location`.
@@ -30,6 +31,7 @@ from repro.storage.block import BlockId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.server.cmserver import CMServer
+    from repro.server.objects import MediaObject
 
 
 class BatchLocator(Protocol):
@@ -69,50 +71,53 @@ class SequentialBatchLocator:
 class BackendBatchLocator:
     """Computed placement through the backend's vectorized kernel.
 
-    Caches each object's ``X0`` sequence as a ``uint64`` array on first
-    touch (the catalog's seeded sequence is the source of truth, same as
-    :meth:`CMServer._x0_of`), groups the batch by object, and resolves
-    logical disks with one ``locate_batch`` call.  Each cache entry is
-    keyed by the seed it was computed from, so a re-seeded object (a
-    reshuffle) can never be served from a stale entry.
+    Keeps one ``uint64`` column of ``X0`` values for the server's
+    objects, one segment per object, plus the segment start of each
+    local object id (-1 for an object with no segment yet).  A round is
+    one gather, ``column[start[object_ids] + block_indices]``, one
+    ``locate_batch`` call and one physical-id lookup: no Python runs
+    per object.
+
+    An object's segment is computed from the catalog's seeded sequence
+    (same as :meth:`CMServer.block_x0`) the first time a round demands
+    it, and kept with the catalog entry it came from.  The catalog's
+    :attr:`~repro.server.objects.ObjectCatalog.version` is compared once
+    per call; when it moved, segments whose entry is gone or was
+    replaced (a reshuffle re-seeds every object) are dropped and the
+    rest are laid out afresh, so a stale ``X0`` can never be served and
+    an add or a drop costs a concatenate, not a recompute.  Block
+    indices must lie within their object.
     """
 
     def __init__(self, server: "CMServer"):
         self.server = server
-        #: object id -> (seed, X0 array computed from that seed).
-        self._x0_cache: dict[int, tuple[int, np.ndarray]] = {}
-
-    def _x0_array(self, object_id: int) -> np.ndarray:
-        server = self.server
-        media = server.catalog.get(object_id)
-        cached = self._x0_cache.get(object_id)
-        if cached is not None and cached[0] == media.seed:
-            return cached[1]
-        x0s = np.fromiter(
-            (
-                server.block_x0(object_id, index)
-                for index in range(media.num_blocks)
-            ),
-            dtype=np.uint64,
-            count=media.num_blocks,
-        )
-        self._x0_cache[object_id] = (media.seed, x0s)
-        return x0s
+        #: object id -> (catalog entry, X0 array computed from it).
+        self._segments: dict[int, tuple[MediaObject, np.ndarray]] = {}
+        #: The segments, back to back; ``_used`` entries are filled and
+        #: the capacity doubles, so appends cost amortized O(1) a block.
+        self._column = np.empty(0, dtype=np.uint64)
+        self._used = 0
+        #: local object id -> its segment's start in the column, or -1.
+        self._start = np.empty(0, dtype=np.int64)
+        self._version: int | None = None
 
     def locate_physical(
         self, object_ids: np.ndarray, block_indices: np.ndarray
     ) -> np.ndarray:
         server = self.server
-        n = object_ids.shape[0]
-        if n == 0:
+        if object_ids.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        x0s = np.empty(n, dtype=np.uint64)
-        order = np.argsort(object_ids, kind="stable")
-        sorted_oids = object_ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_oids)) + 1
-        for group in np.split(order, boundaries):
-            oid = int(object_ids[group[0]])
-            x0s[group] = self._x0_array(oid)[block_indices[group]]
+        if self._version != server.catalog.version:
+            self._resync()
+        try:
+            offsets = self._start[object_ids]
+        except IndexError:
+            raise KeyError("a demanded object is not in the catalog") from None
+        missing = offsets < 0
+        if missing.any():
+            self._append(np.unique(object_ids[missing]).tolist())
+            offsets = self._start[object_ids]
+        x0s = self._column[offsets + block_indices]
         ids = None
         if server.backend.requires_ids:
             ids = [
@@ -122,3 +127,51 @@ class BackendBatchLocator:
         logical = server.backend.locate_batch(ids, x0s)
         table = np.asarray(server.array.physical_ids, dtype=np.int64)
         return table[logical]
+
+    def _resync(self) -> None:
+        """Keep the segments whose catalog entry is unchanged, and lay
+        them out as one fresh column."""
+        catalog = self.server.catalog
+        kept = [
+            (oid, x0s)
+            for oid, (media, x0s) in self._segments.items()
+            if oid in catalog and catalog.get(oid) is media
+        ]
+        self._segments = {oid: self._segments[oid] for oid, __ in kept}
+        size = 1 + max((media.object_id for media in catalog), default=-1)
+        self._start = np.full(size, -1, dtype=np.int64)
+        self._used = 0
+        self._lay_out(kept)
+        self._version = catalog.version
+
+    def _append(self, object_ids: list[int]) -> None:
+        """Compute the segments of objects first demanded now."""
+        server = self.server
+        added = []
+        for oid in object_ids:
+            media = server.catalog.get(oid)
+            x0s = np.fromiter(
+                (server.block_x0(oid, index) for index in range(media.num_blocks)),
+                dtype=np.uint64,
+                count=media.num_blocks,
+            )
+            self._segments[oid] = (media, x0s)
+            added.append((oid, x0s))
+        self._lay_out(added)
+
+    def _lay_out(self, segments: list[tuple[int, np.ndarray]]) -> None:
+        """Append segments to the column and record their starts."""
+        if not segments:
+            return
+        lengths = np.array([x0s.shape[0] for __, x0s in segments], dtype=np.int64)
+        used = self._used
+        self._start[[oid for oid, __ in segments]] = (
+            used + np.cumsum(lengths) - lengths
+        )
+        need = used + int(lengths.sum())
+        if need > self._column.shape[0]:
+            grown = np.empty(max(need, 2 * self._column.shape[0]), dtype=np.uint64)
+            grown[:used] = self._column[:used]
+            self._column = grown
+        self._column[used:need] = np.concatenate([x0s for __, x0s in segments])
+        self._used = need

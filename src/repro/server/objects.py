@@ -104,6 +104,16 @@ class ObjectCatalog:
     _objects: dict[int, MediaObject] = field(default_factory=dict)
     _next_id: int = 0
     _seed_epoch: int = 0
+    _version: int = field(default=0, init=False, compare=False, repr=False)
+
+    @property
+    def version(self) -> int:
+        """Bumped by every change to the object set or to any seed.
+
+        Caches derived from the catalog (the batch locator's ``X0``
+        column) compare it once per use instead of re-checking objects.
+        """
+        return self._version
 
     def add_object(
         self, name: str, num_blocks: int, blocks_per_round: int = 1
@@ -121,14 +131,17 @@ class ObjectCatalog:
             blocks_per_round=blocks_per_round,
         )
         self._objects[object_id] = obj
+        self._version += 1
         return obj
 
     def remove_object(self, object_id: int) -> MediaObject:
         """Deregister an object (its blocks are the caller's to drop)."""
         try:
-            return self._objects.pop(object_id)
+            obj = self._objects.pop(object_id)
         except KeyError:
             raise KeyError(f"object {object_id} is not in the catalog")
+        self._version += 1
+        return obj
 
     def get(self, object_id: int) -> MediaObject:
         """Look up an object by id."""
@@ -165,6 +178,7 @@ class ObjectCatalog:
         seed; ids, names and sizes are preserved.
         """
         self._seed_epoch += 1
+        self._version += 1
         for object_id, obj in list(self._objects.items()):
             self._objects[object_id] = MediaObject(
                 object_id=obj.object_id,

@@ -341,13 +341,16 @@ class RoundScheduler:
             stream.deliver(served_by_stream.get(stream.stream_id, 0))
 
     def _simple_round_vectorized(self, report: RoundReport) -> None:
-        """Batched planning: bincount loads, segmented-rank serving.
+        """Batched planning: bincount loads, segmented-rank settling.
 
-        Within one disk's queue the scalar path serves in arrival order
-        (stream iteration order, which is table row order); a stable
-        argsort over the slot array preserves exactly that order within
-        each disk segment, so the rank-under-bandwidth mask picks the
-        same winners.
+        Only a disk whose demand exceeds its bandwidth can miss reads;
+        every read on any other disk is served.  Within an
+        over-subscribed disk's queue the scalar path serves in arrival
+        order (stream iteration order, which is table row order); a
+        stable argsort of just those reads' slots keeps that order
+        within each disk segment, so the rank-under-bandwidth mask picks
+        the same winners.  With no disk over-subscribed the sort is
+        empty.
         """
         table = self.table
         demand = gather_round_demand(table)
@@ -377,17 +380,20 @@ class RoundScheduler:
 
         counts = np.bincount(slots, minlength=n_disks)
         served_per_disk = np.minimum(counts, bw)
-        order = np.argsort(slots, kind="stable")
-        starts = np.cumsum(counts) - counts
-        ranks = np.arange(slots.shape[0], dtype=np.int64) - np.repeat(
-            starts, counts
+        # Settle the over-subscribed disks' reads, in request order.
+        over_counts = np.where(counts > bw, counts, 0)
+        contested = np.flatnonzero(over_counts[slots])
+        order = contested[np.argsort(slots[contested], kind="stable")]
+        starts = np.cumsum(over_counts) - over_counts
+        ranks = np.arange(order.shape[0], dtype=np.int64) - np.repeat(
+            starts, over_counts
         )
-        served_mask = ranks < np.repeat(bw, counts)
-        sorted_streams = stream_slots[order]
+        missed_rows = stream_slots[order[ranks >= np.repeat(bw, over_counts)]]
 
         n_rows = table.rows
-        served_by_row = np.bincount(
-            sorted_streams[served_mask], minlength=n_rows
+        hiccups_by_row = np.bincount(missed_rows, minlength=n_rows)
+        served_by_row = (
+            np.bincount(stream_slots, minlength=n_rows) - hiccups_by_row
         )
         report.requested = int(counts.sum())
         report.served = int(served_per_disk.sum())
@@ -396,14 +402,10 @@ class RoundScheduler:
         report.spare_by_physical = dict(
             zip(pids, (bw - served_per_disk).tolist())
         )
-        if report.hiccups:
-            hiccups_by_row = np.bincount(
-                sorted_streams[~served_mask], minlength=n_rows
+        for row in np.flatnonzero(hiccups_by_row).tolist():
+            self.hiccups_by_stream[table.handle(row).stream_id] += int(
+                hiccups_by_row[row]
             )
-            for row in np.flatnonzero(hiccups_by_row).tolist():
-                self.hiccups_by_stream[table.handle(row).stream_id] += int(
-                    hiccups_by_row[row]
-                )
         table.deliver(served_by_row)
 
     def _run_round_degraded(self) -> RoundReport:

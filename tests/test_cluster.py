@@ -188,21 +188,15 @@ class TestServing:
         with pytest.raises(KeyError):
             coordinator.depart_stream(7)
 
-    def test_round_after_reshuffle_reads_the_new_homes(self):
-        """The batch locator's cached X0 arrays must follow a reshuffle's
-        fresh seeds: every block the next round demands is charged to
-        the disk the inventory holds it on."""
+    @staticmethod
+    def assert_round_reads_homes(coordinator):
+        """Run one round and check every block it demanded was charged
+        to the disk the shard's inventory holds it on."""
         from collections import Counter
 
         from repro.server.streams import gather_round_demand
         from repro.storage.block import BlockId
 
-        coordinator = build_cluster(num_shards=2, num_objects=6)
-        for sid in range(24):
-            coordinator.admit_stream(sid, sid % 6, start_block=sid % 30)
-        coordinator.run_rounds(2)  # warms the X0 caches
-        for shard_id in coordinator.shard_ids:
-            coordinator.reshuffle_shard(shard_id)
         expected = {}
         for shard in coordinator.shards:
             demand = gather_round_demand(shard.scheduler.table)
@@ -216,9 +210,72 @@ class TestServing:
                 pid: homes.get(pid, 0) for pid in shard.server.array.physical_ids
             }
         report = coordinator.run_round()
-        assert report.requested == 24
         for shard_id, shard_report in report.reports.items():
             assert shard_report.load_by_physical == expected[shard_id]
+        return report
+
+    def test_round_after_reshuffle_reads_the_new_homes(self):
+        """The batch locator's X0 column must follow every catalog
+        change — an object added, an object removed, a reshuffle's
+        fresh seeds: every block the next round demands is charged to
+        the disk the inventory holds it on."""
+        coordinator = build_cluster(num_shards=2, num_objects=6)
+        for sid in range(24):
+            coordinator.admit_stream(sid, sid % 6, start_block=sid % 30)
+        coordinator.run_rounds(2)  # lays out the X0 columns
+        gid = coordinator.add_object("late", 40)
+        for sid in range(24, 28):
+            coordinator.admit_stream(sid, gid, start_block=sid - 24)
+        assert self.assert_round_reads_homes(coordinator).requested == 28
+        for sid in range(0, 24, 6):  # object 0's viewers leave first
+            coordinator.depart_stream(sid)
+        coordinator.remove_object(0)
+        assert self.assert_round_reads_homes(coordinator).requested == 24
+        for shard_id in coordinator.shard_ids:
+            coordinator.reshuffle_shard(shard_id)
+        assert self.assert_round_reads_homes(coordinator).requested == 24
+
+    def test_round_after_replica_churn_reads_the_new_homes(self):
+        """``adapt()`` adds and drops replica copies between rounds (a
+        catalog add or remove on the copy's shard); each next round
+        still charges every block to its home disk, on shards serving
+        other titles and on a copy that serves viewers itself."""
+        from repro.cluster import ReplicationPolicy
+
+        coordinator = build_cluster(
+            num_shards=3,
+            num_objects=6,
+            replication_policy=ReplicationPolicy(
+                9, hysteresis_rounds=1, demand_half_life_rounds=1
+            ),
+        )
+        for gid in range(6):  # every shard serves some demand throughout
+            coordinator.admit_stream(100 + gid, gid, start_block=gid)
+        for sid in range(8):  # title 0 turns hot: adapt() copies it
+            coordinator.admit_stream(sid, 0, start_block=sid)
+        for __ in range(4):
+            self.assert_round_reads_homes(coordinator)
+        copies = coordinator.replicas_of(0)
+        assert copies
+        home = coordinator.shard_of(0)
+        for __ in range(3):  # the home's breaker trips: viewers go to a copy
+            coordinator.health.observe_failure(home, coordinator.round_index)
+        copy_table = coordinator.shard(copies[0]).scheduler.table
+        for sid in range(8, 12):
+            coordinator.admit_stream(sid, 0, start_block=sid)
+            assert sid in copy_table
+        for __ in range(2):
+            self.assert_round_reads_homes(coordinator)
+        coordinator.health.mark_healthy(home)
+        for sid in range(12):  # demand moves to title 3: title 0's copies go
+            coordinator.depart_stream(sid)
+        for sid in range(12, 24):
+            coordinator.admit_stream(sid, 3, start_block=sid)
+        for __ in range(8):
+            self.assert_round_reads_homes(coordinator)
+        assert len(coordinator.replicas_of(0)) < len(copies)
+        assert len(coordinator.replicas_of(3)) > 0
+        assert coordinator.replication.copies_dropped > 0
 
 
 class TestReshard:

@@ -176,6 +176,23 @@ class TestReplicaPlacement:
             domains = {coordinator.shard(s).domain for s in copies}
             assert len(domains) == 2
 
+    def test_copies_made_in_one_fill_take_distinct_domains(self):
+        # Regression: ``_fill`` filtered its candidates once, so with
+        # R = 3 the second new copy could land in the first one's domain
+        # (6 shards over 3 domains, 60 objects: 22 collisions).
+        coordinator = ClusterCoordinator.create(
+            6, 2, SPEC, replication_factor=3, num_domains=3, master_seed=7
+        )
+        for i in range(60):
+            coordinator.add_object(f"title-{i}", 20)
+        report = check_cluster(coordinator)
+        assert report.replica_violations == []
+        assert report.clean
+        for gid in coordinator.object_ids:
+            copies = coordinator.replication.copies_of(gid)
+            domains = {coordinator.shard(s).domain for s in copies}
+            assert len(copies) == len(domains) == 3
+
     def test_factor_one_keeps_no_replicas(self):
         coordinator = build_ha_cluster(replication_factor=1)
         assert coordinator._replica_home == {}

@@ -14,12 +14,14 @@ The pledges under test:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -285,12 +287,55 @@ class TestResume:
         resumed, pending = resume_cluster(
             manifest, cluster_path, shard_journals={0: shard_path}
         )
-        resumed.journal.close()
-        resumed.shard(0).server.journal.close()
+        resumed.close()
         assert pending is None
         # The open disk-level op was completed synchronously.
         assert resumed.shard(0).server.num_disks == disks_before + 1
         assert check_cluster(resumed).clean
+
+    def test_close_releases_every_journal_of_a_resumed_cluster(self, tmp_path):
+        """A cluster resumed from files holds journals it opened from
+        paths; ``close()`` releases all of them, a draining shard's
+        included, and a second call does nothing."""
+        manifest_path = tmp_path / "manifest.json"
+        cluster_path = str(tmp_path / "cluster.journal")
+        coordinator = build_cluster(journal=ClusterJournal(cluster_path))
+        shard_paths = {}
+        for shard in coordinator.shards:
+            shard_paths[shard.shard_id] = str(
+                tmp_path / f"shard{shard.shard_id}.journal"
+            )
+            shard.server.attach_journal(
+                ScalingJournal(shard_paths[shard.shard_id])
+            )
+        manifest_path.write_text(cluster_to_json(coordinator))
+        last = coordinator.shards[-1]
+        # The last shard begins a disk-level scale... and the process dies.
+        last.server.begin_scale(ScalingOp.add(1))
+        coordinator.close()
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            resumed, pending = resume_cluster(
+                manifest_path.read_text(),
+                cluster_path,
+                shard_journals=shard_paths,
+            )
+            assert pending is None
+            # Completing the open scale wrote to the last shard's journal;
+            # now drain that shard and land one move of the rebalance.
+            pending = resumed.begin_reshard(
+                ScalingOp.remove([resumed.num_shards - 1])
+            )
+            resumed.migrate_next(pending)
+            assert last.shard_id not in resumed.shard_ids
+            resumed.close()
+            resumed.close()
+            del resumed, pending
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        record = ClusterJournal(cluster_path).open_record()
+        assert record is not None and len(record.applied) == 1
 
 
 #: The crashing process: builds the seeded cluster, writes its manifest,

@@ -16,7 +16,7 @@ comparisons normalize dict keys to logical indices first.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Obs
@@ -125,8 +125,25 @@ def admit_streams(scheduler, catalog, scenario):
             pass  # admission denied: same decision both variants
 
 
+#: Eight reads a round over eight one-read disks: some disk is
+#: over-subscribed every round, beside disks that are not.
+OVERSUBSCRIBED = {
+    "seed": 7, "n_disks": 8, "bandwidth": 1, "n_objects": 3,
+    "blocks_per_object": 40, "streams": [(0, 0, 3), (1, 4, 3), (2, 9, 2)],
+    "rounds": 4,
+}
+#: Three reads a round against four-read disks: no disk can miss.
+UNDERSUBSCRIBED = {
+    "seed": 7, "n_disks": 4, "bandwidth": 4, "n_objects": 2,
+    "blocks_per_object": 40, "streams": [(0, 0, 1), (1, 3, 1), (0, 12, 1)],
+    "rounds": 4,
+}
+
+
 class TestSimplePathParity:
     @given(scenario=serving_scenarios(), backend=st.sampled_from(BACKENDS))
+    @example(scenario=OVERSUBSCRIBED, backend="scaddar")
+    @example(scenario=UNDERSUBSCRIBED, backend="scaddar")
     @settings(max_examples=40, deadline=None)
     def test_reports_and_streams_match(self, scenario, backend):
         results = []
@@ -154,6 +171,8 @@ class TestSimplePathParity:
         assert results[0] == results[1]
 
     @given(scenario=serving_scenarios())
+    @example(scenario=OVERSUBSCRIBED)
+    @example(scenario=UNDERSUBSCRIBED)
     @settings(max_examples=20, deadline=None)
     def test_inventory_locator_matches(self, scenario):
         """Default (inventory home_of) locator: sequential batch wrapper."""

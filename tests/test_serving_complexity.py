@@ -4,9 +4,13 @@ A vectorized round works on the stream table's columns, so it must not
 call any per-stream method: the count of ``Stream.deliver``,
 ``Stream.demand_window`` and ``Stream.is_active`` calls is exactly 0
 at n and at 4n viewers — on the simple path, on the degraded path, and
-in a cluster round that feeds a popularity tracker.  The table's own
-bookkeeping is amortized O(1): m admissions, departures and seeks copy
-O(m) rows in all, however the departures interleave.
+in a cluster round that feeds a popularity tracker.  Nor does it call
+any per-object one: a steady round locates through the batch locator's
+``X0`` column, with 0 ``CMServer.block_x0`` and 0 ``ObjectCatalog.get``
+calls at n and 4n objects.  An admission to a healthy home touches no
+health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  The
+table's own bookkeeping is amortized O(1): m admissions, departures and
+seeks copy O(m) rows in all, however the departures interleave.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from collections import Counter
 import pytest
 
 from repro.cluster import ClusterCoordinator, ReplicationPolicy
+from repro.cluster.health import ClusterHealthMonitor
 from repro.cluster.popularity import DemandTracker
 from repro.server.cmserver import CMServer
+from repro.server.objects import ObjectCatalog
 from repro.server.reads import build_degraded_stack
 from repro.server.scheduler import RoundScheduler
 from repro.server.streams import Stream, StreamTable
@@ -26,7 +32,18 @@ from repro.storage.disk import DiskSpec
 from repro.workloads.generator import uniform_catalog
 
 SIZES = (60, 240)  # n and 4n viewers
+OBJECT_SIZES = (8, 32)  # n and 4n objects
 ROUNDS = 3
+
+
+def counting(counts: Counter, name: str, fn):
+    """``fn``, counting its calls into ``counts[name]``."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 @pytest.fixture
@@ -34,26 +51,39 @@ def calls(monkeypatch):
     """Counts calls to the per-stream methods a round could fall back
     on (and to the tracker's scalar feed)."""
     counts: Counter = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(Stream, "deliver", counting("deliver", Stream.deliver))
     monkeypatch.setattr(
-        Stream, "demand_window", counting("demand_window", Stream.demand_window)
+        Stream, "deliver", counting(counts, "deliver", Stream.deliver)
+    )
+    monkeypatch.setattr(
+        Stream,
+        "demand_window",
+        counting(counts, "demand_window", Stream.demand_window),
     )
     monkeypatch.setattr(
         Stream,
         "is_active",
-        property(counting("is_active", Stream.is_active.fget)),
+        property(counting(counts, "is_active", Stream.is_active.fget)),
     )
     monkeypatch.setattr(
-        DemandTracker, "record", counting("record", DemandTracker.record)
+        DemandTracker, "record", counting(counts, "record", DemandTracker.record)
     )
+    return counts
+
+
+@pytest.fixture
+def lookups(monkeypatch):
+    """Counts the per-object lookups a round or an admission could make:
+    X0 and catalog reads, and the routed read's health machinery."""
+    counts: Counter = Counter()
+    for owner, name in (
+        (CMServer, "block_x0"),
+        (ObjectCatalog, "get"),
+        (ClusterHealthMonitor, "observe_success"),
+        (ClusterHealthMonitor, "breaker"),
+    ):
+        monkeypatch.setattr(
+            owner, name, counting(counts, name, getattr(owner, name))
+        )
     return counts
 
 
@@ -116,6 +146,90 @@ class TestNoPerStreamCallsInARound:
             coordinator.run_rounds(ROUNDS)
             assert coordinator.replication.tracker.total_units >= viewers
             assert calls == Counter(), f"{viewers} viewers: {dict(calls)}"
+
+
+class TestNoPerObjectLookupsInARound:
+    def test_simple_path(self, lookups):
+        for objects in OBJECT_SIZES:
+            catalog = uniform_catalog(objects, 50, master_seed=0x5EED, bits=32)
+            spec = DiskSpec(capacity_blocks=5_000, bandwidth_blocks_per_round=64)
+            server = CMServer(catalog, [spec] * 4, bits=32)
+            scheduler = RoundScheduler(
+                server.array,
+                locator=server.computed_locator(),
+                batch_locator=server.computed_batch_locator(),
+            )
+            admit(scheduler, catalog, 2 * objects)  # every object demanded
+            scheduler.run_round()  # first demand lays out the X0 column
+            lookups.clear()
+            reports = scheduler.run_rounds(ROUNDS)
+            assert sum(r.served for r in reports) > 0
+            assert lookups == Counter(), f"{objects} objects: {dict(lookups)}"
+
+    def test_cluster_round(self, lookups):
+        for objects in OBJECT_SIZES:
+            coordinator = ClusterCoordinator.create(
+                3, 2,
+                DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=64),
+                bits=32, master_seed=0xC0DE, replication_factor=2,
+            )
+            for i in range(objects):
+                coordinator.add_object(f"title-{i}", 40)
+            for sid in range(2 * objects):
+                coordinator.admit_stream(sid, sid % objects, start_block=sid % 30)
+            coordinator.run_round()
+            lookups.clear()
+            reports = coordinator.run_rounds(ROUNDS)
+            assert sum(r.served for r in reports) > 0
+            assert lookups == Counter(), f"{objects} objects: {dict(lookups)}"
+
+
+class TestHealthyRouting:
+    @staticmethod
+    def cluster(objects: int) -> ClusterCoordinator:
+        coordinator = ClusterCoordinator.create(
+            3, 2,
+            DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=512),
+            bits=32, master_seed=0xC0DE, replication_factor=2,
+        )
+        for i in range(objects):
+            coordinator.add_object(f"title-{i}", 40)
+        return coordinator
+
+    def test_admission_touches_no_health_machinery(self, lookups):
+        for viewers in SIZES:
+            coordinator = self.cluster(8)
+            lookups.clear()
+            for sid in range(viewers):
+                coordinator.admit_stream(sid, sid % 8)
+            for gid in coordinator.object_ids:
+                home = coordinator.shard_of(gid)
+                route = coordinator.route_read(gid)
+                assert (route.shard_id, route.attempts, route.path) == (
+                    home, 1, (home,)
+                )
+                assert not route.failed_over
+                assert route.backoff_rounds == 0
+            assert lookups["observe_success"] == 0, viewers
+            assert lookups["breaker"] == 0, viewers
+
+    def test_partial_failure_streak_takes_the_full_loop(self, lookups):
+        coordinator = self.cluster(4)
+        home = coordinator.shard_of(0)
+        coordinator.health.observe_failure(home, coordinator.round_index)
+        breaker = coordinator.health.breaker(home)
+        assert breaker.consecutive_failures == 1 and not breaker.is_open
+        lookups.clear()
+        route = coordinator.route_read(0)
+        assert (route.shard_id, route.attempts, route.path) == (home, 1, (home,))
+        assert not route.failed_over
+        assert lookups["observe_success"] == 1
+        assert breaker.consecutive_failures == 0
+        assert breaker.is_quiescent
+        # The reset streak puts the home back on the direct route.
+        lookups.clear()
+        coordinator.admit_stream(0, 0)
+        assert lookups["observe_success"] == 0
 
 
 class TestTableBookkeeping:
