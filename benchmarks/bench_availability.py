@@ -39,6 +39,8 @@ from pathlib import Path
 
 from repro.experiments.availability import report, run_availability
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Throughput-phase probe: small enough to add seconds, big enough for
@@ -133,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_availability",
+        "environment": environment(),
         "quick": args.quick,
         "seed": args.seed,
         "reproducible": reproducible,

@@ -14,8 +14,11 @@ Three sections, each with a hard floor, persisted to
 * **serving** — a standalone single shard vs the same shard shape inside
   a cluster round barrier: the in-cluster per-shard rate must hold
   ``min_efficiency`` of the standalone rate (the barrier adds only
-  bookkeeping).  Every rate is wall-clock time measured in this one
-  process.
+  bookkeeping).  Both sides serve ``window_s`` of round time, long
+  enough to be steady, in alternating slices so that both see the same
+  machine load; a stream that finishes restarts from block 0 between
+  rounds, outside the timed calls, so every round serves the full load.
+  Every rate is wall-clock time measured in this one process.
 
 Usage::
 
@@ -37,7 +40,10 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import ShardNode
 from repro.core.operations import ScalingOp
+from repro.server.streams import Stream, StreamState
 from repro.storage.disk import DiskSpec
+
+from benchenv import environment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0xC1B5
@@ -52,7 +58,7 @@ FULL = {
     "blocks_per_object": 1_000,
     "streams_per_shard": 1_000,
     "rate": 8,
-    "rounds": 4,
+    "window_s": 0.25,
     "min_routing_per_sec": 1_000_000,
     "max_cov": 0.01,
     "min_efficiency": 0.75,
@@ -72,7 +78,7 @@ QUICK = {
     "blocks_per_object": 300,
     "streams_per_shard": 200,
     "rate": 8,
-    "rounds": 3,
+    "window_s": 0.25,
     "min_routing_per_sec": 500_000,
     "max_cov": 0.02,
     "min_efficiency": 0.6,
@@ -127,8 +133,6 @@ def run_rebalance_cost(cfg: dict, backend: str) -> dict:
 def _admit_streams(
     scheduler, media_list, streams: int, rate: int, offset: int
 ) -> None:
-    from repro.server.streams import Stream
-
     for i in range(streams):
         media = media_list[i % len(media_list)]
         scheduler.admit(
@@ -140,7 +144,43 @@ def _admit_streams(
         )
 
 
-def run_standalone(cfg: dict) -> dict:
+class _Serving:
+    """One side of the serving comparison: its round call, the streams
+    it serves, and what it served in how much round time."""
+
+    def __init__(self, run_round, streams: list[Stream]):
+        self.run_round = run_round
+        self.streams = streams
+        self.rounds = 0
+        self.served = 0
+        self.seconds = 0.0
+
+    def serve_for(self, seconds: float) -> None:
+        """Serve rounds until ``seconds`` more of round time have
+        passed.  Only the ``run_round`` calls are timed: finished
+        streams restart from block 0 between them."""
+        stop = self.seconds + seconds
+        while self.seconds < stop:
+            start = time.perf_counter()
+            self.served += self.run_round().served
+            self.seconds += time.perf_counter() - start
+            self.rounds += 1
+            for stream in self.streams:
+                if stream.state is StreamState.DONE:
+                    stream.seek(0)
+
+
+def serve_interleaved(sides: list[_Serving], window_s: float) -> None:
+    """Give every side ``window_s`` of round time, alternating in slices
+    of a tenth of it, so all sides see the same machine load."""
+    for side in sides:
+        side.run_round()  # warm-up
+    for _ in range(10):
+        for side in sides:
+            side.serve_for(window_s / 10)
+
+
+def standalone_shard(cfg: dict) -> _Serving:
     """Baseline: one shard-shaped server outside any cluster."""
     spec = DiskSpec(
         capacity_blocks=1_000_000,
@@ -158,22 +198,10 @@ def run_standalone(cfg: dict) -> dict:
     _admit_streams(
         shard.scheduler, media_list, cfg["streams_per_shard"], cfg["rate"], 0
     )
-    shard.scheduler.run_round()  # warm-up
-    served = 0
-    start = time.perf_counter()
-    for _ in range(cfg["rounds"]):
-        served += shard.scheduler.run_round().served
-    elapsed = time.perf_counter() - start
-    return {
-        "streams": cfg["streams_per_shard"],
-        "rounds": cfg["rounds"],
-        "served": served,
-        "seconds": round(elapsed, 6),
-        "reads_per_sec": int(served / elapsed),
-    }
+    return _Serving(shard.scheduler.run_round, list(shard.scheduler.streams))
 
 
-def run_cluster_serving(cfg: dict) -> dict:
+def cluster_shards(cfg: dict) -> tuple[_Serving, ClusterCoordinator]:
     """The same shard shape, ``shards`` times, under the round barrier."""
     spec = DiskSpec(
         capacity_blocks=1_000_000,
@@ -210,26 +238,37 @@ def run_cluster_serving(cfg: dict) -> dict:
             cfg["streams_per_shard"], cfg["rate"], stream_id,
         )
         stream_id += cfg["streams_per_shard"]
-    coordinator.run_round()  # warm-up
-    served = 0
-    start = time.perf_counter()
-    for _ in range(cfg["rounds"]):
-        served += coordinator.run_round().served
-    elapsed = time.perf_counter() - start
+    streams = [s for shard in coordinator.shards for s in shard.scheduler.streams]
+    return _Serving(coordinator.run_round, streams), coordinator
+
+
+def run_serving(cfg: dict) -> tuple[dict, dict]:
+    """Standalone and in-cluster serving over the same window."""
+    solo = standalone_shard(cfg)
+    cluster, coordinator = cluster_shards(cfg)
+    serve_interleaved([solo, cluster], cfg["window_s"])
+    standalone = {
+        "streams": cfg["streams_per_shard"],
+        "rounds": solo.rounds,
+        "served": solo.served,
+        "seconds": round(solo.seconds, 6),
+        "reads_per_sec": int(solo.served / solo.seconds),
+    }
     # The barrier serializes the shards in this process, so the whole
-    # elapsed window is shard work: one shard's rate while being driven
-    # (coordinator overhead included, amortized) is served/elapsed.
-    per_shard_rate = served / elapsed
-    return {
+    # window is shard work: one shard's rate while being driven
+    # (coordinator overhead included, amortized) is served/seconds.
+    rate = cluster.served / cluster.seconds
+    in_cluster = {
         "shards": cfg["shards"],
         "objects": coordinator.num_objects,
-        "streams": stream_id,
-        "rounds": cfg["rounds"],
-        "served": served,
-        "seconds": round(elapsed, 6),
-        "reads_per_sec_measured": int(served / elapsed),
-        "reads_per_sec_per_shard": int(per_shard_rate),
+        "streams": len(cluster.streams),
+        "rounds": cluster.rounds,
+        "served": cluster.served,
+        "seconds": round(cluster.seconds, 6),
+        "reads_per_sec_measured": int(rate),
+        "reads_per_sec_per_shard": int(rate),
     }
+    return standalone, in_cluster
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -265,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             f"ratio {entry['ratio']:.2f}x)"
         )
 
-    standalone = run_standalone(cfg)
-    cluster = run_cluster_serving(cfg)
+    standalone, cluster = run_serving(cfg)
     efficiency = (
         cluster["reads_per_sec_per_shard"] / standalone["reads_per_sec"]
     )
@@ -278,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_cluster",
+        "environment": environment(),
         "quick": args.quick,
         "config": cfg,
         "routing": routing,

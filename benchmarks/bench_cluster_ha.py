@@ -35,6 +35,8 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.server.streams import Stream
 from repro.storage.disk import DiskSpec
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0x5A4E
 
@@ -250,6 +252,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_cluster_ha",
+        "environment": environment(),
         "quick": args.quick,
         "config": cfg,
         "lookup": lookup,

@@ -33,6 +33,8 @@ from repro.core.operations import ScalingOp
 from repro.core.scaddar import ScaddarMapper
 from repro.workloads.generator import random_x0s
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 N0 = 4
 BITS = 64
@@ -150,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_engine",
+        "environment": environment(),
         "quick": args.quick,
         "n0": N0,
         "bits": BITS,

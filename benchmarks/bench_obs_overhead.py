@@ -41,6 +41,8 @@ from repro.core.scaddar import ScaddarMapper
 from repro.obs import NULL_OBS, Obs
 from repro.workloads.generator import random_x0s
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 N0 = 4
 BITS = 64
@@ -138,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_obs_overhead",
+        "environment": environment(),
         "quick": args.quick,
         "blocks": blocks,
         "j": j,

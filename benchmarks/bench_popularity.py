@@ -33,6 +33,8 @@ from repro.cluster.popularity import ReplicationPolicy
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.storage.disk import DiskSpec
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0xF1A5
 
@@ -192,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_popularity",
+        "environment": environment(),
         "quick": args.quick,
         "config": cfg,
         "flash_crowd": crowd,

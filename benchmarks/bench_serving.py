@@ -45,6 +45,8 @@ from repro.server.streams import Stream
 from repro.storage.disk import DiskSpec
 from repro.workloads.generator import uniform_catalog
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0xBE9C
 BITS = 64
@@ -211,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_serving",
+        "environment": environment(),
         "quick": args.quick,
         "config": cfg,
         "results": results,

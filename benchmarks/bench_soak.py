@@ -32,6 +32,8 @@ from pathlib import Path
 
 from repro.experiments.soak import run_soak
 
+from benchenv import environment
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Full soak: 5 backends x 500 ops = 2,500 mixed operations.
@@ -109,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "benchmark": "bench_soak",
+        "environment": environment(),
         "quick": args.quick,
         "config": cfg,
         "seconds": round(seconds, 2),

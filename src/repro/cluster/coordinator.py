@@ -73,6 +73,11 @@ from repro.storage.disk import DiskSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import ObsHandle
 
+_HEALTHY = ShardHealth.HEALTHY
+#: Builds a :class:`ReadRoute` without the named tuple's Python-level
+#: ``__new__`` (the healthy route is built once per admission).
+_new_route = tuple.__new__
+
 
 @dataclass(frozen=True)
 class ShardTemplate:
@@ -345,9 +350,13 @@ class ClusterCoordinator:
         self._names: dict[str, int] = {}
         #: stream id -> gid (for re-homing and departure routing).
         self._streams: dict[int, int] = {}
-        #: stream id -> stable id of the shard currently serving it
-        #: (diverges from the object's home after a failover).
-        self._stream_shard: dict[int, int] = {}
+        #: gid -> stream id -> the stream's current handle, for every
+        #: admitted stream (stranded ones included).  The handle is
+        #: attached to the table of the shard serving it, which
+        #: diverges from the object's home after a failover; a stranded
+        #: stream's handle is detached.  Feeds the per-title demand and
+        #: lost-title departures.
+        self._viewers: dict[int, dict[int, Stream]] = {}
         #: streams with no live copy left to serve them, by stream id.
         self._stranded: dict[int, Stream] = {}
         self.replication_factor = replication_factor
@@ -651,17 +660,31 @@ class ClusterCoordinator:
         A home that serves unimpeded (healthy, breaker quiescent) with
         no fault injector attached answers on the first attempt, and a
         success leaves a quiescent breaker unchanged, so that route is
-        returned without entering the loop.
+        returned without entering the loop: one home lookup, the health
+        predicate read inline, and one tuple.
 
         Raises
         ------
         ObjectUnavailableError
             When no copy could serve the read.
         """
-        home = self.shard_of(object_id)
-        self.replication.record_demand(object_id)
-        if self.fault_injector is None and self.health.serves_unimpeded(home):
-            return ReadRoute(object_id, home, 1, 0, False, (home,))
+        try:
+            home = self._home[object_id]
+        except KeyError:
+            raise KeyError(f"object {object_id} is not in the cluster")
+        replication = self.replication
+        if replication.tracker is not None:
+            replication.record_demand(object_id)
+        if self.fault_injector is None:
+            # ClusterHealthMonitor.serves_unimpeded(home), inlined.
+            health = self.health
+            breaker = health._breakers.get(home)
+            if health._states.get(home, _HEALTHY) is _HEALTHY and (
+                breaker is None or breaker.is_quiescent
+            ):
+                return _new_route(
+                    ReadRoute, (object_id, home, 1, 0, False, (home,))
+                )
         if round_index is None:
             round_index = self.round_index
         cfg = self.failover
@@ -774,15 +797,20 @@ class ClusterCoordinator:
         ids are cluster-unique so migration and failover can re-home
         them.
         """
-        if stream_id in self._streams:
+        streams = self._streams
+        if stream_id in streams:
             raise ValueError(f"stream id {stream_id} already admitted")
         shard_id = self.route_read(object_id).shard_id
         shard = self._shard_by_id[shard_id]
         media = shard.server.catalog.get(self._local_id_on(object_id, shard_id))
         stream = Stream(stream_id, media, start_block=start_block)
         shard.scheduler.admit(stream)
-        self._streams[stream_id] = object_id
-        self._stream_shard[stream_id] = shard_id
+        streams[stream_id] = object_id
+        viewers = self._viewers.get(object_id)
+        if viewers is None:
+            self._viewers[object_id] = {stream_id: stream}
+        else:
+            viewers[stream_id] = stream
         return stream
 
     def depart_stream(self, stream_id: int) -> Stream:
@@ -793,11 +821,13 @@ class ClusterCoordinator:
             gid = self._streams.pop(stream_id)
         except KeyError:
             raise KeyError(f"stream id {stream_id} is not admitted")
-        stranded = self._stranded.pop(stream_id, None)
-        if stranded is not None:
-            return stranded
-        shard_id = self._stream_shard.pop(stream_id, self.shard_of(gid))
-        return self.shard(shard_id).scheduler.depart(stream_id)
+        viewers = self._viewers[gid]
+        table = viewers.pop(stream_id)._table
+        if not viewers:
+            del self._viewers[gid]
+        if table is None:
+            return self._stranded.pop(stream_id)
+        return table.remove(stream_id)
 
     def run_round(self) -> ClusterRoundReport:
         """Serve one barrier round: every shard runs round *r* before any
@@ -817,14 +847,16 @@ class ClusterCoordinator:
         if tracker is not None and self._streams:
             # Every admitted stream is one unit of sustained demand for
             # its object this round (stranded streams included — their
-            # unmet demand is exactly what the policy should chase).
+            # unmet demand is exactly what the policy should chase):
+            # one (gid, viewers) entry per title, not one per viewer.
             tracker.advance_to(self.round_index)
-            tracker.record_batch(
+            viewers = self._viewers
+            titles = len(viewers)
+            tracker.record_counts(
+                np.fromiter(viewers, dtype=np.int64, count=titles),
                 np.fromiter(
-                    self._streams.values(),
-                    dtype=np.int64,
-                    count=len(self._streams),
-                )
+                    map(len, viewers.values()), dtype=np.int64, count=titles
+                ),
             )
             if self.obs.enabled:
                 self.obs.inc("cluster.demand.units", len(self._streams))
@@ -891,7 +923,6 @@ class ClusterCoordinator:
         if shard._scheduler is not None:
             for stream in list(shard.scheduler.streams):
                 captured.append(shard.scheduler.depart(stream.stream_id))
-                self._stream_shard.pop(stream.stream_id, None)
         stranded_before = len(self._stranded)
         self._readmit_streams(captured)
         stranded = len(self._stranded) - stranded_before
@@ -1389,12 +1420,9 @@ class ClusterCoordinator:
         )
         for sid in list(self._replica_home.get(gid, ())):
             self.replication.drop_replica(gid, sid, lost=True)
-        for stream_id in sorted(
-            sid for sid, g in self._streams.items() if g == gid
-        ):
+        for stream_id in sorted(self._viewers.pop(gid, ())):
             del self._streams[stream_id]
             self._stranded.pop(stream_id, None)
-            self._stream_shard.pop(stream_id, None)
         self.router.unregister([gid])
         del self._home[gid]
         del self._local[gid]
@@ -1458,7 +1486,6 @@ class ClusterCoordinator:
         captured: list[Stream] = []
         for stream in scheduler.table.streams_of(local_id):
             captured.append(scheduler.depart(stream.stream_id))
-            self._stream_shard.pop(stream.stream_id, None)
         return captured
 
     def _readmit_streams(self, streams: list[Stream]) -> None:
@@ -1479,6 +1506,10 @@ class ClusterCoordinator:
             if old.position >= old.media.num_blocks:
                 # Finished during the handoff: nothing left to serve.
                 del self._streams[stream_id]
+                viewers = self._viewers[gid]
+                del viewers[stream_id]
+                if not viewers:
+                    del self._viewers[gid]
                 continue
             try:
                 route = self.route_read(gid)
@@ -1508,7 +1539,7 @@ class ClusterCoordinator:
             shard.scheduler.admit(fresh)
         except AdmissionRefusedError:
             return False
-        self._stream_shard[old.stream_id] = shard_id
+        self._viewers[gid][old.stream_id] = fresh
         return True
 
     def _strand(self, stream: Stream) -> None:

@@ -59,6 +59,9 @@ class ShardHealth(Enum):
     REBUILDING = "rebuilding"
 
 
+_HEALTHY = ShardHealth.HEALTHY
+
+
 class ObjectUnavailableError(Exception):
     """No live copy of the object could serve the read."""
 
@@ -205,7 +208,7 @@ class ClusterHealthMonitor:
     # ------------------------------------------------------------------
     def state(self, shard_id: int) -> ShardHealth:
         """Current health of a shard (healthy until told otherwise)."""
-        return self._states.get(shard_id, ShardHealth.HEALTHY)
+        return self._states.get(shard_id, _HEALTHY)
 
     def breaker(self, shard_id: int) -> CircuitBreaker:
         """The shard's circuit breaker (created on first touch)."""
@@ -243,8 +246,11 @@ class ClusterHealthMonitor:
     def serves_unimpeded(self, shard_id: int) -> bool:
         """Whether reads routed to this shard need no per-read health
         machinery (healthy, breaker quiescent) — the predicate that
-        keeps the all-healthy batch routing path allocation-free."""
-        if self.state(shard_id) is not ShardHealth.HEALTHY:
+        keeps the all-healthy batch routing path allocation-free.
+        :meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read`
+        reads the same two dicts inline, once per admission; keep the
+        two in step."""
+        if self._states.get(shard_id, _HEALTHY) is not _HEALTHY:
             return False
         breaker = self._breakers.get(shard_id)
         return breaker is None or breaker.is_quiescent

@@ -111,8 +111,10 @@ def snapshot_cluster(coordinator: ClusterCoordinator) -> dict:
         "router_ops": coordinator.router.num_operations,
         "next_object_id": coordinator._next_gid,
         "next_shard_id": coordinator._next_shard_id,
-        "journal_path": (
-            str(journal.path)
+        # The file name only: the manifest's bytes must not depend on
+        # the directory the cluster runs from (nothing reads it back).
+        "journal_file": (
+            journal.path.name
             if journal is not None and journal.path is not None
             else None
         ),

@@ -111,12 +111,15 @@ class DemandTracker:
         self.round_index = 0
         #: Demand units recorded over the tracker's lifetime.
         self.total_units = 0
-        #: Batched demand not yet folded into ``_scores`` — raw gid
-        #: arrays from the vectorized read path, all stamped at the
-        #: current round.  Folding is lazy (once per read/round, or
-        #: once :data:`PENDING_CAP` units queue up), so the hot path
-        #: pays one list-append per batch, not a Python loop per object.
+        #: Batched demand not yet folded into ``_scores``, all stamped
+        #: at the current round: raw gid arrays (one unit per entry,
+        #: :meth:`record_batch`) and ``(gids, counts)`` pairs
+        #: (:meth:`record_counts`).  Folding is lazy (once per
+        #: read/round, or once :data:`PENDING_CAP` units queue up), so
+        #: the hot path pays one list-append per batch, not a Python
+        #: loop per object.
         self._pending: list[np.ndarray] = []
+        self._pending_counts: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_units = 0
 
     def __len__(self) -> int:
@@ -142,10 +145,78 @@ class DemandTracker:
         if len(gids) == 0:
             return
         self._pending.append(np.asarray(gids, dtype=np.int64))
-        self._pending_units += len(gids)
-        self.total_units += len(gids)
+        self._queued(len(gids))
+
+    def record_counts(self, gids: np.ndarray, counts: np.ndarray) -> None:
+        """Queue ``counts[i]`` units of demand for ``gids[i]``.
+
+        Equal, to the last bit, to ``record_batch(np.repeat(gids,
+        counts))``, at the cost of one entry per gid instead of one per
+        unit: the per-title feed of
+        :meth:`~repro.cluster.coordinator.ClusterCoordinator.run_round`,
+        whose entries scale with titles, not viewers.  Duplicate gids
+        are allowed; a zero count records nothing for its gid.
+        """
+        gids = np.asarray(gids, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if gids.shape != counts.shape or gids.ndim != 1:
+            raise ValueError(
+                f"gids {gids.shape} and counts {counts.shape} must be "
+                "one-dimensional and of one length"
+            )
+        if (counts < 0).any():
+            raise ValueError("demand counts must be >= 0")
+        units = int(counts.sum())
+        if units == 0:
+            return
+        if not counts.all():
+            held = counts > 0
+            gids, counts = gids[held], counts[held]
+        self._pending_counts.append((gids, counts))
+        self._queued(units)
+
+    def _queued(self, units: int) -> None:
+        """Count ``units`` just queued; fold past :data:`PENDING_CAP`."""
+        self._pending_units += units
+        self.total_units += units
         if self._pending_units > self.PENDING_CAP:
             self._fold_pending()
+
+    def _pending_totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The queued units as ascending distinct gids and their totals
+        (and clear the queue).
+
+        Raw arrays are counted by ``np.unique``.  One ``(gids, counts)``
+        pair with distinct gids is only sorted; anything else is merged
+        by ``np.unique`` over the pairs' gids, weighted by their counts.
+        """
+        raw, counted = self._pending, self._pending_counts
+        self._pending = []
+        self._pending_counts = []
+        self._pending_units = 0
+        if raw:
+            gids = raw[0] if len(raw) == 1 else np.concatenate(raw)
+            unique = np.unique(gids, return_counts=True)
+            if not counted:
+                return unique
+            counted.insert(0, unique)
+        if len(counted) == 1:
+            gids, counts = counted[0]
+            if not (gids[1:] > gids[:-1]).all():
+                order = np.argsort(gids, kind="stable")
+                gids, counts = gids[order], counts[order]
+            if (gids[1:] > gids[:-1]).all():
+                return gids, counts
+        keys, inverse = np.unique(
+            np.concatenate([g for g, __ in counted]), return_inverse=True
+        )
+        # Float sums of integer units are exact below 2**53.
+        totals = np.bincount(
+            inverse,
+            weights=np.concatenate([c for __, c in counted]),
+            minlength=len(keys),
+        )
+        return keys, totals.astype(np.int64)
 
     def _fold_pending(self) -> None:
         """Aggregate queued batches into the score table (one pass).
@@ -153,16 +224,9 @@ class DemandTracker:
         The result equals one :meth:`record` call per queued unit, to
         the last bit (see :func:`_add_units`).
         """
-        if not self._pending:
+        if not (self._pending or self._pending_counts):
             return
-        gids = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else np.concatenate(self._pending)
-        )
-        self._pending = []
-        self._pending_units = 0
-        unique, counts = np.unique(gids, return_counts=True)
+        unique, counts = self._pending_totals()
         keys = unique.tolist()
         now = self.round_index
         decayed = []

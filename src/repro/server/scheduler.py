@@ -153,24 +153,20 @@ class RoundReport:
         return self.served / self.requested if self.requested else 1.0
 
 
-def _slots_of(
-    table: tuple[int, ...], physical: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map physical disk ids to logical slots via a lookup table.
+def _slots_of(lut: np.ndarray, physical: np.ndarray) -> np.ndarray:
+    """Map physical disk ids to logical slots through a lookup table.
 
-    Returns ``(slots, valid)``: ``slots[i]`` is the logical index of
-    ``physical[i]`` in ``table`` or -1 for ids not in the array (a
-    custom locator may point anywhere; the scalar path silently ignores
-    such demand, so the vectorized path must drop it identically).
+    ``lut`` is :meth:`RoundScheduler._disk_table`'s: ``lut[pid]`` is the
+    logical index of ``pid``, and every other entry, the last one
+    included, is -1.  Ids not in the array map to -1 (a custom locator
+    may point anywhere; the scalar path silently ignores such demand, so
+    the vectorized path must drop it identically): ids past the end clip
+    onto the last entry, and negative ones are cleared.
     """
-    table_arr = np.asarray(table, dtype=np.int64)
-    max_pid = int(table_arr.max())
-    lut = np.full(max_pid + 2, -1, dtype=np.int64)
-    lut[table_arr] = np.arange(table_arr.shape[0], dtype=np.int64)
-    out_of_range = (physical < 0) | (physical > max_pid)
-    slots = lut[np.clip(physical, 0, max_pid + 1)]
-    slots[out_of_range] = -1
-    return slots, slots >= 0
+    slots = lut.take(physical, mode="clip")
+    if physical.shape[0] and physical.min() < 0:
+        slots[physical < 0] = -1
+    return slots
 
 
 class RoundScheduler:
@@ -233,6 +229,11 @@ class RoundScheduler:
         self.vectorized = vectorized
         #: The admitted streams, one row each in admission order.
         self.table = StreamTable()
+        #: ``array.physical_ids`` when :meth:`_disk_table` last built the
+        #: slot lookup table and bandwidth vector cached beside it.
+        self._disk_key: tuple[int, ...] = ()
+        self._disk_lut = np.full(1, -1, dtype=np.int64)
+        self._disk_bw = np.empty(0, dtype=np.int64)
         self._round_index = 0
         self.total_hiccups = 0
         #: Cumulative hiccups charged to each stream id (fairness data).
@@ -267,20 +268,18 @@ class RoundScheduler:
         rejects streams whose rate would push aggregate demand past the
         array's aggregate bandwidth; statistical policies leave headroom
         for the per-disk variance of random placement.  A refusal raises
-        :class:`~repro.server.admission.AdmissionRefusedError`.
+        :class:`~repro.server.admission.AdmissionRefusedError`; an id
+        already admitted raises ``ValueError`` (the table checks it).
         """
-        if stream.stream_id in self.table:
-            raise ValueError(f"stream id {stream.stream_id} already admitted")
-        active = self.table.active_demand
-        if not self.admission.admits(
-            self.array, active, stream.media.blocks_per_round
-        ):
+        table = self.table
+        active = table.active_demand
+        rate = stream.media.blocks_per_round
+        if not self.admission.admits(self.array, active, rate):
             raise AdmissionRefusedError(
                 f"admission denied by {type(self.admission).__name__}: "
-                f"active demand {active} + new rate "
-                f"{stream.media.blocks_per_round} blocks/round"
+                f"active demand {active} + new rate {rate} blocks/round"
             )
-        self.table.append(stream)
+        table.append(stream)
 
     def depart(self, stream_id: int) -> Stream:
         """Remove a stream (client disconnect); the returned handle keeps
@@ -340,45 +339,69 @@ class RoundScheduler:
         for stream in streams:
             stream.deliver(served_by_stream.get(stream.stream_id, 0))
 
+    def _disk_table(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """``(physical ids, slot lookup table, bandwidth per slot)``,
+        rebuilt only when the array's physical ids change (a disk's spec
+        is immutable, so its bandwidth is fixed by its id)."""
+        pids = self.array.physical_ids
+        if pids != self._disk_key:
+            ids = np.asarray(pids, dtype=np.int64)
+            lut = np.full(int(ids.max(initial=-1)) + 2, -1, dtype=np.int64)
+            lut[ids] = np.arange(ids.shape[0], dtype=np.int64)
+            self._disk_lut = lut
+            self._disk_bw = np.fromiter(
+                (self.array.disk(pid).bandwidth_blocks_per_round for pid in pids),
+                dtype=np.int64,
+                count=len(pids),
+            )
+            self._disk_key = pids
+        return pids, self._disk_lut, self._disk_bw
+
     def _simple_round_vectorized(self, report: RoundReport) -> None:
         """Batched planning: bincount loads, segmented-rank settling.
 
         Only a disk whose demand exceeds its bandwidth can miss reads;
-        every read on any other disk is served.  Within an
-        over-subscribed disk's queue the scalar path serves in arrival
-        order (stream iteration order, which is table row order); a
-        stable argsort of just those reads' slots keeps that order
-        within each disk segment, so the rank-under-bandwidth mask picks
-        the same winners.  With no disk over-subscribed the sort is
-        empty.
+        every read on any other disk is served.  When every read lands
+        in the array and no disk is over-subscribed, each row is served
+        exactly its demand, so the round delivers ``demand.counts``
+        directly.  Otherwise, within an over-subscribed disk's queue the
+        scalar path serves in arrival order (stream iteration order,
+        which is table row order); a stable argsort of just those reads'
+        slots keeps that order within each disk segment, so the
+        rank-under-bandwidth mask picks the same winners.
         """
         table = self.table
         demand = gather_round_demand(table)
-        pids = self.array.physical_ids
+        pids, lut, bw = self._disk_table()
         n_disks = len(pids)
-        bw = np.fromiter(
-            (self.array.disk(pid).bandwidth_blocks_per_round for pid in pids),
-            dtype=np.int64,
-            count=n_disks,
-        )
         if demand.total == 0:
             report.load_by_physical = dict.fromkeys(pids, 0)
             report.spare_by_physical = dict(zip(pids, bw.tolist()))
-            table.deliver(np.zeros(table.rows, dtype=np.int64))
+            table.deliver(demand.counts)
             return
 
         physical = self._batch_locator.locate_physical(
             demand.object_ids, demand.block_indices
         )
-        slots, valid = _slots_of(pids, physical)
+        slots = _slots_of(lut, physical)
         stream_slots = demand.stream_slots
-        if not valid.all():
+        all_valid = bool(slots.min() >= 0)
+        if not all_valid:
             # Demand routed outside the array is silently ignored by the
             # scalar path (its per-disk loop never visits those ids).
+            valid = slots >= 0
             slots = slots[valid]
             stream_slots = stream_slots[valid]
 
         counts = np.bincount(slots, minlength=n_disks)
+        report.load_by_physical = dict(zip(pids, counts.tolist()))
+        if all_valid and not (counts > bw).any():
+            # Every read is served: no settle, no per-row bincounts.
+            report.requested = report.served = demand.total
+            report.spare_by_physical = dict(zip(pids, (bw - counts).tolist()))
+            table.deliver(demand.counts)
+            return
+
         served_per_disk = np.minimum(counts, bw)
         # Settle the over-subscribed disks' reads, in request order.
         over_counts = np.where(counts > bw, counts, 0)
@@ -398,7 +421,6 @@ class RoundScheduler:
         report.requested = int(counts.sum())
         report.served = int(served_per_disk.sum())
         report.hiccups = report.requested - report.served
-        report.load_by_physical = dict(zip(pids, counts.tolist()))
         report.spare_by_physical = dict(
             zip(pids, (bw - served_per_disk).tolist())
         )
@@ -537,12 +559,13 @@ class RoundScheduler:
             table.deliver(served_by_row, demand.counts)
             return
 
-        pids = self.array.physical_ids
+        pids, lut, __ = self._disk_table()
         n_disks = len(pids)
         physical = planner.batch_locator.locate_physical(
             demand.object_ids, demand.block_indices
         )
-        slots, valid = _slots_of(pids, physical)
+        slots = _slots_of(lut, physical)
+        valid = slots >= 0
         safe_slots = np.where(valid, slots, 0)
         counts = np.bincount(safe_slots[valid], minlength=n_disks)
         bw = np.fromiter(

@@ -10,16 +10,18 @@ A scheduler keeps its admitted streams in a :class:`StreamTable`: one
 numpy column per field (object id, position, rate, length, state, stall
 rounds, blocks consumed), one row per stream, rows in admission order.
 A round is then column arithmetic: :func:`gather_round_demand` is a
-state mask plus a ``repeat``/``cumsum`` expansion to per-request arrays,
-and :meth:`StreamTable.deliver` advances every row with one
-``np.minimum`` and one add.  The table keeps the admission-control
-demand total itself, because it owns every state change.
+state mask plus, unless every demanding row wants one block, a
+``repeat``/``cumsum`` expansion to per-request arrays, and
+:meth:`StreamTable.deliver` advances every row with one ``np.minimum``
+and one add.  The table keeps the admission-control demand total
+itself, because it owns every state change.
 
 :class:`Stream` stays the public handle.  While admitted it is a view
 on its table row (reads and writes go to the columns); before admission
-and after departure it holds its own values, so a departed handle keeps
-its last position and state.  Its methods are the per-stream reference
-semantics the scalar scheduler loop runs on.
+it holds its own values, and after departure it keeps its last
+position and state (read from the row it left until the handle is
+written or admitted again, then from its own slots).  Its methods are
+the per-stream reference semantics the scalar scheduler loop runs on.
 """
 
 from __future__ import annotations
@@ -42,17 +44,24 @@ class StreamState(Enum):
     DONE = "done"
 
 
+#: The members as module constants: a class attribute lookup on an
+#: ``Enum`` costs more than a global read, on per-viewer paths.
+_PLAYING_STATE = StreamState.PLAYING
+_PAUSED_STATE = StreamState.PAUSED
+_DONE_STATE = StreamState.DONE
+
 #: State column codes: a row's code indexes ``_STATES``; ``_VACANT``
 #: marks the row of a departed stream until the table compacts.
-_STATES = (StreamState.PLAYING, StreamState.PAUSED, StreamState.DONE)
+_STATES = (_PLAYING_STATE, _PAUSED_STATE, _DONE_STATE)
 _CODE = {state: code for code, state in enumerate(_STATES)}
-_PLAYING, _DONE = _CODE[StreamState.PLAYING], _CODE[StreamState.DONE]
+_PLAYING, _DONE = _CODE[_PLAYING_STATE], _CODE[_DONE_STATE]
 _VACANT = len(_STATES)
 
 
 class _Field:
     """An integer field of :class:`Stream`: its table column while the
-    stream is admitted, the handle's own slot otherwise."""
+    stream is admitted; once departed, its row in the columns it left
+    (until the handle is written) or the handle's own slot."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.column = name
@@ -62,16 +71,35 @@ class _Field:
         if stream is None:
             return self
         table = stream._table
-        if table is None:
-            return getattr(stream, self.slot)
-        return getattr(table, self.column).item(stream._row)
+        if table is not None:
+            return getattr(table, self.column).item(stream._row)
+        left = stream._left
+        if left is not None:
+            return getattr(left, self.column).item(stream._row)
+        return getattr(stream, self.slot)
 
     def __set__(self, stream: "Stream", value: int) -> None:
         table = stream._table
         if table is None:
+            stream._detach()
             setattr(stream, self.slot, value)
         else:
             getattr(table, self.column)[stream._row] = value
+
+
+class _Departed:
+    """The value columns a table's departed rows keep.  A round serves a
+    vacant row nothing, so its values stay as the stream left them, and
+    the table replaces these arrays (never rewrites them in place) when
+    it grows or compacts; a departed handle therefore reads its last
+    values at its old row, and departing copies nothing out."""
+
+    __slots__ = ("position", "stall_rounds", "blocks_consumed")
+
+    def __init__(self, table: "StreamTable"):
+        self.position = table.position
+        self.stall_rounds = table.stall_rounds
+        self.blocks_consumed = table.blocks_consumed
 
 
 class Stream:
@@ -88,7 +116,7 @@ class Stream:
     """
 
     __slots__ = (
-        "stream_id", "media", "_table", "_row",
+        "stream_id", "media", "_table", "_row", "_left",
         "_position", "_state", "_stall_rounds", "_blocks_consumed",
     )
 
@@ -102,8 +130,11 @@ class Stream:
         #: The table this stream is admitted to (None when detached).
         self._table: Optional[StreamTable] = None
         self._row = -1
+        #: After departure, the columns still holding the stream's last
+        #: values at ``_row`` (None once they are copied into the slots).
+        self._left: Optional[_Departed] = None
         self._position = start_block
-        self._state = StreamState.PLAYING
+        self._state = _PLAYING_STATE
         self._stall_rounds = 0
         self._blocks_consumed = 0
 
@@ -129,11 +160,25 @@ class Stream:
         else:
             self._table.set_state(self._row, _CODE[value])
 
+    def _detach(self) -> None:
+        """Copy a departed stream's last values out of the columns it
+        left into its own slots (before any write to a departed handle
+        and before it is admitted again)."""
+        left = self._left
+        if left is None:
+            return
+        row = self._row
+        self._position = left.position.item(row)
+        self._stall_rounds = left.stall_rounds.item(row)
+        self._blocks_consumed = left.blocks_consumed.item(row)
+        self._left = None
+        self._row = -1
+
     # -- per-stream semantics (the scalar scheduler's reference) --------
     @property
     def is_active(self) -> bool:
         """Whether the stream demands blocks this round."""
-        return self.state is StreamState.PLAYING
+        return self.state is _PLAYING_STATE
 
     def demand_window(self) -> tuple[int, int]:
         """This round's demand as ``(start_index, count)``.
@@ -142,7 +187,7 @@ class Stream:
         indices.  ``count`` is 0 for paused and finished streams.
         """
         position = self.position
-        if self.state is not StreamState.PLAYING:
+        if self.state is not _PLAYING_STATE:
             return (position, 0)
         end = min(position + self.media.blocks_per_round, self.media.num_blocks)
         return (position, end - position)
@@ -169,17 +214,17 @@ class Stream:
         self.position = min(self.position + count, self.media.num_blocks)
         self.blocks_consumed += count
         if self.position >= self.media.num_blocks:
-            self.state = StreamState.DONE
+            self.state = _DONE_STATE
 
     def pause(self) -> None:
         """Pause playback (no demand while paused)."""
-        if self.state is StreamState.PLAYING:
-            self.state = StreamState.PAUSED
+        if self.state is _PLAYING_STATE:
+            self.state = _PAUSED_STATE
 
     def resume(self) -> None:
         """Resume a paused stream."""
-        if self.state is StreamState.PAUSED:
-            self.state = StreamState.PLAYING
+        if self.state is _PAUSED_STATE:
+            self.state = _PLAYING_STATE
 
     def seek(self, block_index: int) -> None:
         """VCR-style random access to a position in the object."""
@@ -187,9 +232,17 @@ class Stream:
             raise ValueError(
                 f"seek target {block_index} out of 0..{self.media.num_blocks - 1}"
             )
-        self.position = block_index
-        if self.state is StreamState.DONE:
-            self.state = StreamState.PLAYING
+        table = self._table
+        if table is None:
+            self._detach()
+            self._position = block_index
+            if self._state is _DONE_STATE:
+                self._state = _PLAYING_STATE
+            return
+        row = self._row
+        table.position[row] = block_index
+        if table.state.item(row) == _DONE:
+            table.set_state(row, _PLAYING)
 
     def __repr__(self) -> str:
         return (
@@ -233,6 +286,8 @@ class StreamTable:
         self.state = np.zeros(capacity, dtype=np.int8)
         self.stall_rounds = np.zeros(capacity, dtype=np.int64)
         self.blocks_consumed = np.zeros(capacity, dtype=np.int64)
+        #: What departed rows' handles read (see :class:`_Departed`).
+        self._departed = _Departed(self)
         #: Row -> admitted handle (None for a vacant row).
         self._handles: list[Optional[Stream]] = []
         self._by_id: dict[int, Stream] = {}
@@ -278,42 +333,69 @@ class StreamTable:
         return int(np.count_nonzero(self.state[: self.rows] == _PLAYING))
 
     def append(self, stream: Stream) -> None:
-        """Admit ``stream``: add its row and attach the handle to it."""
+        """Admit ``stream``: add its row and attach the handle to it.
+
+        Rows past :attr:`rows` are all zero (rows are only appended, and
+        growth and compaction move them into fresh zeroed arrays), so
+        only non-zero fields are written.
+        """
         if stream._table is not None:
             raise ValueError(
                 f"stream {stream.stream_id} is already admitted to a scheduler"
             )
-        if stream.stream_id in self._by_id:
-            raise ValueError(f"stream id {stream.stream_id} already admitted")
-        row = self._add_row(stream)
-        self._handles.append(stream)
-        self._by_id[stream.stream_id] = stream
+        if stream._left is not None:
+            stream._detach()
+        by_id = self._by_id
+        stream_id = stream.stream_id
+        if stream_id in by_id:
+            raise ValueError(f"stream id {stream_id} already admitted")
+        handles = self._handles
+        row = len(handles)
+        if row == self.state.shape[0]:
+            self._resize(2 * row)
+        media = stream.media
+        rate = media.blocks_per_round
+        self.object_id[row] = media.object_id
+        self.rate[row] = rate
+        self.length[row] = media.num_blocks
+        if stream._position:
+            self.position[row] = stream._position
+        state = stream._state
+        if state is not _PLAYING_STATE:
+            self.state[row] = _CODE[state]
+        if stream._stall_rounds:
+            self.stall_rounds[row] = stream._stall_rounds
+        if stream._blocks_consumed:
+            self.blocks_consumed[row] = stream._blocks_consumed
+        handles.append(stream)
+        by_id[stream_id] = stream
         stream._table = self
         stream._row = row
-        if stream._state is StreamState.PLAYING:
-            self.active_demand += stream.media.blocks_per_round
+        if state is _PLAYING_STATE:
+            self.active_demand += rate
 
     def remove(self, stream_id: int) -> Stream:
         """Depart a stream: its row goes vacant and the handle keeps the
-        row's last values."""
+        row's last values (read from the row it left, see
+        :class:`_Departed`, so departing copies out only the state)."""
+        by_id = self._by_id
         try:
-            stream = self._by_id.pop(stream_id)
+            stream = by_id.pop(stream_id)
         except KeyError:
             raise KeyError(f"stream id {stream_id} is not admitted") from None
         row = stream._row
-        code = self.state.item(row)
-        stream._position = self.position.item(row)
+        state = self.state
+        code = state.item(row)
         stream._state = _STATES[code]
-        stream._stall_rounds = self.stall_rounds.item(row)
-        stream._blocks_consumed = self.blocks_consumed.item(row)
         stream._table = None
-        stream._row = -1
+        stream._left = self._departed
         if code == _PLAYING:
-            self.active_demand -= self.rate.item(row)
-        self.state[row] = _VACANT
+            # The rate column holds the media's rate, read without numpy.
+            self.active_demand -= stream.media.blocks_per_round
+        state[row] = _VACANT
         self._handles[row] = None
-        self._vacant += 1
-        if self._vacant >= self.MIN_COMPACT and self._vacant > len(self._by_id):
+        vacant = self._vacant = self._vacant + 1
+        if vacant >= self.MIN_COMPACT and vacant > len(by_id):
             self._compact()
         return stream
 
@@ -332,9 +414,10 @@ class StreamTable:
     def window_counts(self) -> np.ndarray:
         """Per row, the blocks it demands this round (0 unless playing)."""
         n = self.rows
-        position = self.position[:n]
-        wanted = np.minimum(position + self.rate[:n], self.length[:n]) - position
-        return np.where(self.state[:n] == _PLAYING, wanted, 0)
+        wanted = self.length[:n] - self.position[:n]
+        np.minimum(wanted, self.rate[:n], out=wanted)
+        wanted *= self.state[:n] == _PLAYING
+        return wanted
 
     def deliver(
         self, served: np.ndarray, demanded: Optional[np.ndarray] = None
@@ -357,21 +440,6 @@ class StreamTable:
         state[done] = _DONE
 
     # -- internals ------------------------------------------------------
-    def _add_row(self, stream: Stream) -> int:
-        """Write a detached stream's values into a new row."""
-        row = len(self._handles)
-        if row == self.state.shape[0]:
-            self._resize(2 * row)
-        media = stream.media
-        self.object_id[row] = media.object_id
-        self.position[row] = stream._position
-        self.rate[row] = media.blocks_per_round
-        self.length[row] = media.num_blocks
-        self.state[row] = _CODE[stream._state]
-        self.stall_rounds[row] = stream._stall_rounds
-        self.blocks_consumed[row] = stream._blocks_consumed
-        return row
-
     def _resize(self, capacity: int) -> None:
         """Move every column into arrays of ``capacity`` rows."""
         n = self.rows
@@ -380,16 +448,21 @@ class StreamTable:
             new = np.zeros(capacity, dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
+        self._departed = _Departed(self)
         self.rows_copied += n
 
     def _compact(self) -> None:
-        """Drop vacant rows, keeping the live rows' order."""
+        """Drop vacant rows, keeping the live rows' order, into fresh
+        columns (departed handles keep reading the old ones)."""
         n = self.rows
         keep = np.flatnonzero(self.state[:n] != _VACANT)
         m = keep.shape[0]
         for name in _COLUMNS:
-            column = getattr(self, name)
-            column[:m] = column[keep]
+            old = getattr(self, name)
+            new = np.zeros(old.shape[0], dtype=old.dtype)
+            new[:m] = old.take(keep)
+            setattr(self, name, new)
+        self._departed = _Departed(self)
         live = [h for h in self._handles if h is not None]
         for row, stream in enumerate(live):
             stream._row = row
@@ -425,15 +498,26 @@ def gather_round_demand(table: StreamTable) -> RoundDemand:
     """Collect every row's demand window into one :class:`RoundDemand`.
 
     The vectorized counterpart of looping ``blocks_needed()`` per
-    stream: a state mask gives each row's window, then a handful of
-    ``repeat``/``cumsum`` expansions give the per-request arrays.
+    stream: a state mask gives each row's window, then the per-request
+    arrays follow.  When every demanding row wants one block (a count
+    total equal to the demanding rows), the requests are those rows
+    themselves: one ``flatnonzero`` and two gathers.  Otherwise a
+    handful of ``repeat``/``cumsum`` expansions spread each row's
+    window over its requests.
     """
     counts = table.window_counts()
+    # Non-zero rows from a boolean mask: ``nonzero`` is several times
+    # faster on booleans than on int64 counts.
+    rows = np.flatnonzero(counts > 0)
     total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return RoundDemand(counts, empty, empty, empty)
     n = table.rows
+    if total == rows.shape[0]:
+        return RoundDemand(
+            counts=counts,
+            object_ids=table.object_id.take(rows),
+            block_indices=table.position.take(rows),
+            stream_slots=rows,
+        )
     stream_slots = np.repeat(np.arange(n, dtype=np.int64), counts)
     starts = np.cumsum(counts) - counts
     offsets = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)

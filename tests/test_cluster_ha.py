@@ -67,6 +67,29 @@ def build_ha_cluster(
     return coordinator
 
 
+def assert_viewer_index_agrees(coordinator):
+    """The per-title viewer index holds exactly the admitted streams,
+    each under its title and as its current handle: the one a live
+    scheduler serves, or the stranded one."""
+    by_title: dict[int, set[int]] = {}
+    for stream_id, gid in coordinator._streams.items():
+        by_title.setdefault(gid, set()).add(stream_id)
+    assert {
+        gid: set(viewers) for gid, viewers in coordinator._viewers.items()
+    } == by_title
+    serving = {}
+    for shard in coordinator._serving_shards():
+        if shard._scheduler is not None and coordinator.health.is_live(
+            shard.shard_id
+        ):
+            for stream in shard.scheduler.streams:
+                serving[stream.stream_id] = stream
+    for viewers in coordinator._viewers.values():
+        for stream_id, handle in viewers.items():
+            expected = serving.get(stream_id, coordinator._stranded.get(stream_id))
+            assert handle is expected, stream_id
+
+
 def stream_on(shard, stream_id):
     """The scheduler's live Stream with this id (or None)."""
     return next(
@@ -418,6 +441,8 @@ class TestShardDeath:
         replica = coordinator.replication.replicas_of(gid)[0]
         moved = stream_on(coordinator.shard(replica), 7)
         assert moved is not None and moved.position == position
+        assert_viewer_index_agrees(coordinator)
+        assert coordinator.depart_stream(7) is moved
 
     def test_conservation_through_death(self):
         coordinator = build_ha_cluster(num_objects=8)
@@ -597,6 +622,59 @@ class TestShardRebuild:
         assert coordinator.num_shards == 4
         report = check_cluster(coordinator)
         assert report.clean and report.fully_replicated
+
+    def test_lost_titles_viewers_leave_and_the_rest_stay(self):
+        # R=1: the victim's titles have no other copy, so the rebuild
+        # declares them lost and their (stranded) viewers leave; every
+        # other viewer keeps playing through kill -> rebuild -> readmit.
+        titles, viewers = 24, 72
+        coordinator = build_ha_cluster(
+            replication_factor=1, num_objects=titles
+        )
+        for sid in range(viewers):
+            coordinator.admit_stream(sid, sid % titles, start_block=sid % 7)
+        coordinator.run_rounds(2)
+        victim = coordinator.shard_of(0)
+        doomed = {
+            g for g in coordinator.object_ids
+            if coordinator.shard_of(g) == victim
+        }
+        lost_viewers = {
+            sid for sid in range(viewers) if sid % titles in doomed
+        }
+        assert doomed and lost_viewers
+        assert_viewer_index_agrees(coordinator)
+        death = coordinator.kill_shard(victim)
+        assert death.streams_stranded == len(lost_viewers)
+        assert_viewer_index_agrees(coordinator)
+        coordinator.rebuild_shard(victim)
+        assert coordinator.lost_objects == len(doomed)
+        assert set(coordinator._streams) == set(range(viewers)) - lost_viewers
+        assert not coordinator._stranded
+        assert doomed.isdisjoint(coordinator._viewers)
+        assert_viewer_index_agrees(coordinator)
+        for sid in lost_viewers:
+            with pytest.raises(KeyError):
+                coordinator.depart_stream(sid)
+        survivors = set(coordinator.shard_ids)
+        coordinator.readmit_shard()
+        # The readmitted shard took titles with viewers: they were
+        # re-homed onto fresh handles.
+        assert any(
+            coordinator.shard_of(gid) not in survivors
+            for gid in coordinator._streams.values()
+        )
+        assert_viewer_index_agrees(coordinator)
+        report = coordinator.run_round()
+        assert report.stranded == 0
+        assert report.requested == viewers - len(lost_viewers)
+        assert report.requested == (
+            report.served + report.hiccups + report.queued
+        )
+        for sid in sorted(coordinator._streams):
+            coordinator.depart_stream(sid)
+        assert not coordinator._viewers
+        assert not any(len(shard.scheduler.table) for shard in coordinator.shards)
 
     def test_r1_rebuild_declares_loss(self):
         coordinator = build_ha_cluster(replication_factor=1)

@@ -93,6 +93,23 @@ class TestManifestRoundTrip:
         assert cluster_layout(restored) == cluster_layout(coordinator)
         assert restored._next_shard_id == coordinator._next_shard_id
 
+    def test_manifest_bytes_independent_of_directory(self, tmp_path):
+        # Same seed, same operations, journals in different directories:
+        # the manifest records the journal's file name, not its path.
+        texts = []
+        for directory in (tmp_path / "a", tmp_path / "some" / "deeper"):
+            directory.mkdir(parents=True)
+            coordinator = build_cluster(
+                journal=ClusterJournal(directory / "cluster.journal")
+            )
+            try:
+                coordinator.reshard(ScalingOp.add(1))
+                texts.append(cluster_to_json(coordinator))
+            finally:
+                coordinator.close()
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["journal_file"] == "cluster.journal"
+
     def test_snapshot_refused_mid_rebalance(self):
         coordinator = build_cluster()
         pending = coordinator.begin_reshard(ScalingOp.add(1))

@@ -153,6 +153,70 @@ class TestDemandTracker:
         tracker.advance_to(8)  # fold stamps at round 0, then decay
         assert tracker.demand(7) == pytest.approx(1.0)
 
+    @given(
+        rounds=st.lists(
+            st.lists(
+                st.tuples(
+                    st.booleans(),  # counted pair or raw gid array
+                    st.lists(
+                        st.tuples(st.integers(0, 11), st.integers(0, 700)),
+                        max_size=8,
+                    ),
+                ),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        cap=st.sampled_from((1 << 20, 900)),
+        half_life=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_record_counts_matches_repeated_batch(self, rounds, cap, half_life):
+        """``record_counts(g, c)`` folds to exactly what
+        ``record_batch(np.repeat(g, c))`` does: unsorted and duplicate
+        gids, zero counts, queues mixed with raw batches, scores decayed
+        over idle rounds, and folds forced by a small queue cap."""
+        import numpy as np
+
+        class Capped(DemandTracker):
+            PENDING_CAP = cap
+
+        counted = Capped(half_life_rounds=half_life)
+        repeated = Capped(half_life_rounds=half_life)
+        for round_index, batches in enumerate(rounds):
+            # Odd rounds skip a round, so stored scores decay.
+            for tracker in (counted, repeated):
+                tracker.advance_to(round_index + round_index // 2)
+            for is_counted, entries in batches:
+                gids = np.array([g for g, __ in entries], dtype=np.int64)
+                counts = np.array([c for __, c in entries], dtype=np.int64)
+                if is_counted:
+                    counted.record_counts(gids, counts)
+                    repeated.record_batch(np.repeat(gids, counts))
+                else:
+                    raw = np.repeat(gids, np.minimum(counts, 3))
+                    counted.record_batch(raw)
+                    repeated.record_batch(raw)
+            assert counted._pending_units == repeated._pending_units
+            assert counted.total_units == repeated.total_units
+            for gid in range(12):
+                assert counted.demand(gid) == repeated.demand(gid), (
+                    round_index, gid,
+                )
+        assert counted.to_payload() == repeated.to_payload()
+
+    def test_record_counts_validates(self):
+        import numpy as np
+
+        tracker = DemandTracker()
+        with pytest.raises(ValueError):
+            tracker.record_counts(np.array([1, 2]), np.array([1]))
+        with pytest.raises(ValueError):
+            tracker.record_counts(np.array([1]), np.array([-1]))
+        tracker.record_counts(np.array([4, 5]), np.array([0, 0]))
+        assert tracker.total_units == 0 and len(tracker) == 0
+
     def test_rank_ties_break_by_gid(self):
         tracker = DemandTracker()
         tracker.record(4, units=2)

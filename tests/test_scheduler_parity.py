@@ -138,12 +138,34 @@ UNDERSUBSCRIBED = {
     "blocks_per_object": 40, "streams": [(0, 0, 1), (1, 3, 1), (0, 12, 1)],
     "rounds": 4,
 }
+#: Rates 1 and 2 in one round on ten-block objects.  Round 0 mixes
+#: one- and two-block windows (the repeat expansion); in round 1 the
+#: rate-2 stream at block 7 wants only the object's last block, so every
+#: demanding row wants one (the one-block gather, a rate-2 row included).
+MIXED_RATES = {
+    "seed": 11, "n_disks": 3, "bandwidth": 2, "n_objects": 3,
+    "blocks_per_object": 10,
+    "streams": [(0, 0, 1), (1, 7, 2), (2, 8, 2), (0, 5, 1)],
+    "rounds": 6,
+}
+#: Every stream at rate 1, six reads a round on three two-read disks:
+#: the one-block gather, feeding the settle pass whenever placement puts
+#: three reads on one disk.
+UNIT_RATES = {
+    "seed": 3, "n_disks": 3, "bandwidth": 2, "n_objects": 3,
+    "blocks_per_object": 30,
+    "streams": [(0, 0, 1), (1, 4, 1), (2, 9, 1), (0, 14, 1), (1, 20, 1),
+                (2, 25, 1)],
+    "rounds": 8,
+}
 
 
 class TestSimplePathParity:
     @given(scenario=serving_scenarios(), backend=st.sampled_from(BACKENDS))
     @example(scenario=OVERSUBSCRIBED, backend="scaddar")
     @example(scenario=UNDERSUBSCRIBED, backend="scaddar")
+    @example(scenario=MIXED_RATES, backend="scaddar")
+    @example(scenario=UNIT_RATES, backend="jump_hash")
     @settings(max_examples=40, deadline=None)
     def test_reports_and_streams_match(self, scenario, backend):
         results = []
@@ -173,6 +195,8 @@ class TestSimplePathParity:
     @given(scenario=serving_scenarios())
     @example(scenario=OVERSUBSCRIBED)
     @example(scenario=UNDERSUBSCRIBED)
+    @example(scenario=MIXED_RATES)
+    @example(scenario=UNIT_RATES)
     @settings(max_examples=20, deadline=None)
     def test_inventory_locator_matches(self, scenario):
         """Default (inventory home_of) locator: sequential batch wrapper."""

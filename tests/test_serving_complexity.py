@@ -8,9 +8,11 @@ in a cluster round that feeds a popularity tracker.  Nor does it call
 any per-object one: a steady round locates through the batch locator's
 ``X0`` column, with 0 ``CMServer.block_x0`` and 0 ``ObjectCatalog.get``
 calls at n and 4n objects.  An admission to a healthy home touches no
-health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  The
-table's own bookkeeping is amortized O(1): m admissions, departures and
-seeks copy O(m) rows in all, however the departures interleave.
+health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  A
+cluster round's demand feed queues one entry per title, the same at n
+and 4n viewers.  The table's own bookkeeping is amortized O(1): m
+admissions, departures and seeks copy O(m) rows in all, however the
+departures interleave.
 """
 
 from __future__ import annotations
@@ -182,6 +184,49 @@ class TestNoPerObjectLookupsInARound:
             reports = coordinator.run_rounds(ROUNDS)
             assert sum(r.served for r in reports) > 0
             assert lookups == Counter(), f"{objects} objects: {dict(lookups)}"
+
+
+class TestDemandFeedPerTitle:
+    TITLES = 8
+
+    def feed_entries(self, monkeypatch, viewers: int) -> int:
+        """Tracker entries one cluster round queues with ``viewers``
+        viewers spread over the same titles."""
+        coordinator = ClusterCoordinator.create(
+            3, 2,
+            DiskSpec(capacity_blocks=50_000,
+                     bandwidth_blocks_per_round=viewers),
+            bits=32, master_seed=0xC0DE,
+            replication_policy=ReplicationPolicy(12),
+        )
+        for i in range(self.TITLES):
+            coordinator.add_object(f"title-{i}", 40)
+        for sid in range(viewers):
+            coordinator.admit_stream(
+                sid, sid % self.TITLES, start_block=sid % 30
+            )
+        coordinator.run_round()
+        entries = Counter()
+        tracker = coordinator.replication.tracker
+        for name in ("record_batch", "record_counts"):
+            original = getattr(tracker, name)
+
+            def queue(gids, *args, _original=original):
+                entries["queued"] += len(gids)
+                return _original(gids, *args)
+
+            monkeypatch.setattr(tracker, name, queue)
+        units = tracker.total_units
+        coordinator.run_round()
+        assert tracker.total_units - units == viewers
+        return entries["queued"]
+
+    def test_entries_scale_with_titles_not_viewers(self, monkeypatch):
+        small, large = (
+            self.feed_entries(monkeypatch, viewers) for viewers in SIZES
+        )
+        assert small == large
+        assert 0 < small <= self.TITLES
 
 
 class TestHealthyRouting:

@@ -267,6 +267,43 @@ class TestStreamTable:
         table.append(Stream(2, media(num_blocks=4)))
         assert s.position == 4  # no longer reads the (reused) row
 
+    def test_departed_handles_outlive_compaction_growth_and_writes(self):
+        # Departed handles read their last values from the rows they
+        # left; the table compacts and grows into fresh arrays, so those
+        # values hold until the handle itself is written or readmitted.
+        from repro.server.streams import StreamTable
+
+        table = StreamTable()
+        obj = media(num_blocks=50)
+        streams = [Stream(sid, obj, start_block=sid) for sid in range(40)]
+        twins = [Stream(sid, obj, start_block=sid) for sid in range(40)]
+        for stream in streams:
+            table.append(stream)
+        served = np.arange(40) % 3
+        table.deliver(served, np.ones(40, dtype=np.int64))
+        for twin, count in zip(twins, served.tolist()):
+            twin.deliver(count, demanded=1)
+        twins[5].pause()
+        streams[5].pause()
+
+        def values(stream):
+            return (stream.position, stream.state, stream.stall_rounds,
+                    stream.blocks_consumed)
+
+        departed = [table.remove(sid) for sid in range(25)]
+        assert table.rows < 40  # compacted on the way
+        for sid in range(100, 200):  # grows past the first capacity
+            table.append(Stream(sid, obj))
+        table.deliver(np.ones(table.rows, dtype=np.int64))
+        assert [values(s) for s in departed] == [values(t) for t in twins[:25]]
+        departed[3].seek(49)  # a write copies the row out first
+        twins[3].seek(49)
+        other = StreamTable()
+        other.append(departed[7])  # readmitted with its values
+        assert values(departed[3]) == values(twins[3])
+        assert values(departed[7]) == values(twins[7])
+        assert int(other.blocks_consumed[0]) == twins[7].blocks_consumed
+
     def test_batch_deliver_matches_per_stream_deliver(self):
         from repro.server.streams import StreamTable
 
