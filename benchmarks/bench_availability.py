@@ -53,7 +53,7 @@ THROUGHPUT_PROBE = {
     "objects": 8,
     "blocks_per_object": 400,
     "rate": 8,
-    "rounds": 3,
+    "window_s": 0.25,
 }
 
 #: Reduced sweep for CI smoke runs (matches the CLI's --quick cell).

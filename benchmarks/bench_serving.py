@@ -20,13 +20,19 @@ the batched serve arithmetic alone versus the backend locate kernel.
 Every variant gets a fresh server and fresh identical streams, so no
 state leaks between timings.  One warm-up round runs untimed per
 variant (it also primes the backend locator's per-object X0 caches).
+Each variant is then timed over whole rounds until ``window_s`` of
+round time has passed (at least one round), long enough for the
+vectorized variants' millisecond rounds to be steady.  Only the
+``run_round`` calls are timed: a stream that finishes restarts from
+block 0 between rounds, so every timed round serves the whole stream
+population.
 
 Results are persisted to ``BENCH_serving.json`` at the repo root.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_serving.py [--quick]
-        [--rounds N] [--output PATH]
+        [--output PATH]
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from pathlib import Path
 from repro.server.cmserver import CMServer
 from repro.server.reads import build_degraded_stack
 from repro.server.scheduler import RoundScheduler
-from repro.server.streams import Stream
+from repro.server.streams import Stream, StreamState
 from repro.storage.disk import DiskSpec
 from repro.workloads.generator import uniform_catalog
 
@@ -60,7 +66,7 @@ FULL = {
     "objects": 64,
     "blocks_per_object": 2_000,
     "rate": 8,
-    "rounds": 5,
+    "window_s": 0.25,
     "min_simple_speedup": 10.0,
     "min_degraded_speedup": 5.0,
 }
@@ -75,7 +81,7 @@ QUICK = {
     "objects": 16,
     "blocks_per_object": 500,
     "rate": 8,
-    "rounds": 4,
+    "window_s": 0.25,
     "min_simple_speedup": 3.0,
     "min_degraded_speedup": 2.0,
 }
@@ -112,17 +118,25 @@ def admit_streams(scheduler: RoundScheduler, server: CMServer, cfg: dict) -> Non
         )
 
 
-def measure(scheduler: RoundScheduler, rounds: int) -> dict:
-    """Reads/sec over ``rounds`` timed rounds (one untimed warm-up)."""
+def measure(scheduler: RoundScheduler, window_s: float) -> dict:
+    """Reads/sec over whole rounds until ``window_s`` of round time has
+    passed, at least one (after one untimed warm-up round).  Finished
+    streams restart from block 0 between the timed rounds."""
+    streams = scheduler.streams
     scheduler.run_round()
-    requested = served = hiccups = 0
-    start = time.perf_counter()
-    for _ in range(rounds):
+    rounds = requested = served = hiccups = 0
+    seconds = 0.0
+    while rounds == 0 or seconds < window_s:
+        for stream in streams:
+            if stream.state is StreamState.DONE:
+                stream.seek(0)
+        start = time.perf_counter()
         report = scheduler.run_round()
+        seconds += time.perf_counter() - start
+        rounds += 1
         requested += report.requested
         served += report.served
         hiccups += report.hiccups
-    seconds = time.perf_counter() - start
     return {
         "rounds": rounds,
         "requested": requested,
@@ -143,7 +157,7 @@ def run_simple(cfg: dict, vectorized: bool, locator: str) -> dict:
         }
     scheduler = RoundScheduler(server.array, vectorized=vectorized, **kwargs)
     admit_streams(scheduler, server, cfg)
-    return measure(scheduler, cfg["rounds"])
+    return measure(scheduler, cfg["window_s"])
 
 
 def run_degraded(cfg: dict, vectorized: bool) -> dict:
@@ -155,7 +169,7 @@ def run_degraded(cfg: dict, vectorized: bool) -> dict:
         locator="backend",
     )
     admit_streams(stack.scheduler, server, cfg)
-    result = measure(stack.scheduler, cfg["rounds"])
+    result = measure(stack.scheduler, cfg["window_s"])
     result["failovers"] = stack.planner.stats.failover_reads
     return result
 
@@ -166,9 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="small smoke run (CI)"
     )
     parser.add_argument(
-        "--rounds", type=int, default=None, help="timed rounds override"
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=REPO_ROOT / "BENCH_serving.json",
@@ -176,13 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cfg = dict(QUICK if args.quick else FULL)
-    if args.rounds is not None:
-        cfg["rounds"] = args.rounds
+    cfg = QUICK if args.quick else FULL
 
     print(
         f"streams={cfg['streams']} disks={cfg['disks']} "
-        f"rate={cfg['rate']} rounds={cfg['rounds']} "
+        f"rate={cfg['rate']} window={cfg['window_s']}s "
         f"({cfg['streams'] * cfg['rate']} reads/round)"
     )
 

@@ -62,9 +62,9 @@ from repro.cluster.replication import (
 from repro.cluster.router import ROUTER_SALT, ShardRouter
 from repro.cluster.shard import ShardNode
 from repro.core.operations import ScalingOp
+from repro.health import HealthTransitionError
 from repro.server.admission import AdmissionRefusedError
 from repro.server.cmserver import OperationInFlightError, ScaleReport
-from repro.server.health import HealthTransitionError
 from repro.server.ingest import IngestSession
 from repro.server.scheduler import RoundReport
 from repro.server.streams import Stream, StreamState

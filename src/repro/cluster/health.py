@@ -1,8 +1,9 @@
-"""Per-shard health: the disk state machine, one level up.
+"""Per-shard health and the failover read path's building blocks.
 
 The cluster's view of its shards mirrors the serving path's view of the
-array's disks (:mod:`repro.server.health`): each shard walks the same
-four-state machine::
+array's disks: each shard walks the four-state machine of
+:mod:`repro.health`, with one :class:`~repro.health.CircuitBreaker` per
+shard and the cluster round index as the clock::
 
     healthy --breaker trips--> suspect --probe succeeds--> healthy
     healthy/suspect --death--> dead --rebuild begins--> (detached)
@@ -12,29 +13,24 @@ with one structural difference — a dead *disk* is rebuilt in place by
 the scrubber, while a dead *shard* is rebuilt by a journaled rebalance
 that evacuates its objects onto surviving shards and detaches it
 (:meth:`~repro.cluster.coordinator.ClusterCoordinator.begin_shard_rebuild`),
-so ``REBUILDING`` here marks a dead shard whose evacuation is in flight.
+so ``REBUILDING`` here marks a dead shard whose evacuation is in flight,
+and a rebuilding shard is forgotten, never marked healthy.
 
-*Suspect* reuses :class:`~repro.server.health.CircuitBreaker` verbatim:
-the same trip-after-K / capped-doubling-cooldown / one-half-open-probe
-discipline, with the cluster round index as the clock.  The failover
-read path (:meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read`)
-adds its own per-read retry budget on top — retries with capped
-exponential backoff against the home shard, bounded by a per-shard
-timeout budget, before falling over to a replica.
+The failover read path
+(:meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read`)
+adds its own per-read retry budget on top of the breakers — retries
+with capped exponential backoff against the home shard, bounded by a
+per-shard timeout budget, before falling over to a replica.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple
 
+from repro.health import Health, HealthMonitor
 from repro.server.faults import derive_seed
-from repro.server.health import CircuitBreaker, HealthTransitionError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import ObsHandle
 
 __all__ = [
     "ClusterFaultInjector",
@@ -50,16 +46,8 @@ __all__ = [
 _CLUSTER_READ_SALT = 0x5AAD_0003
 
 
-class ShardHealth(Enum):
-    """Serving-path health of one shard."""
-
-    HEALTHY = "healthy"
-    SUSPECT = "suspect"
-    DEAD = "dead"
-    REBUILDING = "rebuilding"
-
-
-_HEALTHY = ShardHealth.HEALTHY
+#: A shard's health state: the one :class:`~repro.health.Health` enum.
+ShardHealth = Health
 
 
 class ObjectUnavailableError(Exception):
@@ -175,177 +163,23 @@ class ClusterFaultInjector:
         return failed
 
 
-class ClusterHealthMonitor:
+class ClusterHealthMonitor(HealthMonitor):
     """Tracks every shard's health state and circuit breaker.
 
-    The cluster twin of :class:`~repro.server.health.DiskHealthMonitor`:
-    same breaker tuning knobs, same transition log, same obs event
-    shapes under ``cluster.``-prefixed kinds (shards are identified by
-    stable id, which is already seed-stable — no logical translation
-    needed).
+    The shared :class:`~repro.health.HealthMonitor`, keyed by stable
+    shard id, which is already seed-stable, so events carry it as is
+    (``shard=``) under ``cluster.``-prefixed kinds.  A rebuilding shard
+    is evacuated and detached, then :meth:`forget`-ed; it is never
+    marked healthy.
     """
 
-    def __init__(
-        self,
-        trip_after: int = 3,
-        cooldown_rounds: int = 4,
-        max_cooldown_rounds: int = 64,
-        obs: Optional["ObsHandle"] = None,
-    ):
-        from repro.obs import NULL_OBS
-
-        self._trip_after = trip_after
-        self._cooldown = cooldown_rounds
-        self._max_cooldown = max_cooldown_rounds
-        self.obs = obs if obs is not None else NULL_OBS
-        self._states: dict[int, ShardHealth] = {}
-        self._breakers: dict[int, CircuitBreaker] = {}
-        #: Cumulative state-transition log: (shard_id, from, to).
-        self.transitions: list[tuple[int, ShardHealth, ShardHealth]] = []
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def state(self, shard_id: int) -> ShardHealth:
-        """Current health of a shard (healthy until told otherwise)."""
-        return self._states.get(shard_id, _HEALTHY)
-
-    def breaker(self, shard_id: int) -> CircuitBreaker:
-        """The shard's circuit breaker (created on first touch)."""
-        breaker = self._breakers.get(shard_id)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self._trip_after, self._cooldown, self._max_cooldown
-            )
-            self._breakers[shard_id] = breaker
-        return breaker
-
-    def is_readable(self, shard_id: int, round_index: int) -> bool:
-        """Whether the routing path may try this shard this round.
-
-        Dead and rebuilding shards never serve; suspect shards serve
-        only the breaker's half-open probe.
-        """
-        state = self.state(shard_id)
-        if state in (ShardHealth.DEAD, ShardHealth.REBUILDING):
-            return False
-        return self.breaker(shard_id).allows(round_index)
-
-    def is_live(self, shard_id: int) -> bool:
-        """Whether the shard holds readable data (not dead/rebuilding).
-
-        Suspect shards are *live* — their copies still exist and the
-        breaker may re-admit them — they are just not currently
-        preferred.  Replica placement and repair use this predicate.
-        """
-        return self.state(shard_id) not in (
-            ShardHealth.DEAD,
-            ShardHealth.REBUILDING,
-        )
-
-    def serves_unimpeded(self, shard_id: int) -> bool:
-        """Whether reads routed to this shard need no per-read health
-        machinery (healthy, breaker quiescent) — the predicate that
-        keeps the all-healthy batch routing path allocation-free.
-        :meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read`
-        reads the same two dicts inline, once per admission; keep the
-        two in step."""
-        if self._states.get(shard_id, _HEALTHY) is not _HEALTHY:
-            return False
-        breaker = self._breakers.get(shard_id)
-        return breaker is None or breaker.is_quiescent
-
-    def all_unimpeded(self, shard_ids) -> bool:
-        """Whether every given shard serves unimpeded (fast-path gate)."""
-        return all(self.serves_unimpeded(sid) for sid in shard_ids)
-
-    def snapshot(self) -> dict[int, str]:
-        """Health state of every shard ever observed, by stable id."""
-        return {sid: state.value for sid, state in sorted(self._states.items())}
+    event_prefix = "cluster."
+    member_key = "shard"
+    rebuilt_in_place = False
+    revive_hint = "dead shards are evacuated and detached, not revived"
 
     def shards_in(self, state: ShardHealth) -> list[int]:
         """Stable ids currently recorded in the given state, sorted."""
         return sorted(
             sid for sid, current in self._states.items() if current is state
         )
-
-    # ------------------------------------------------------------------
-    # Observations / transitions
-    # ------------------------------------------------------------------
-    def observe_success(self, shard_id: int) -> None:
-        """A read from the shard succeeded (closes the breaker; a
-        suspect shard whose probe succeeded returns to healthy)."""
-        breaker = self.breaker(shard_id)
-        was_open = breaker.is_open
-        breaker.record_success()
-        if was_open and self.obs.enabled:
-            self.obs.event("cluster.breaker.probe", shard=shard_id, ok=True)
-        if self.state(shard_id) is ShardHealth.SUSPECT:
-            self._transition(shard_id, ShardHealth.HEALTHY)
-
-    def observe_failure(self, shard_id: int, round_index: int) -> None:
-        """A read from the shard failed; trips the breaker after K in a
-        row, demoting the shard to suspect."""
-        breaker = self.breaker(shard_id)
-        tripped = breaker.record_failure(round_index)
-        if tripped and self.obs.enabled:
-            self.obs.event(
-                "cluster.breaker.trip",
-                shard=shard_id,
-                round=round_index,
-                trips=breaker.trips,
-                cooldown=breaker.current_cooldown,
-            )
-        if tripped and self.state(shard_id) is ShardHealth.HEALTHY:
-            self._transition(shard_id, ShardHealth.SUSPECT)
-
-    def mark_dead(self, shard_id: int) -> None:
-        """The shard died (process loss, machine loss — data on it is
-        unreachable until a rebuild re-replicates it elsewhere)."""
-        if self.state(shard_id) is not ShardHealth.DEAD:
-            self._transition(shard_id, ShardHealth.DEAD)
-
-    def begin_rebuild(self, shard_id: int) -> None:
-        """A journaled rebuild of the dead shard's objects started."""
-        if self.state(shard_id) is not ShardHealth.DEAD:
-            raise HealthTransitionError(
-                f"shard {shard_id} is {self.state(shard_id).value}, not "
-                "dead; only dead shards can begin rebuilding"
-            )
-        self._transition(shard_id, ShardHealth.REBUILDING)
-
-    def mark_healthy(self, shard_id: int) -> None:
-        """A suspect shard recovered (dead shards never do — they are
-        rebuilt away and detached instead)."""
-        state = self.state(shard_id)
-        if state in (ShardHealth.DEAD, ShardHealth.REBUILDING):
-            raise HealthTransitionError(
-                f"shard {shard_id} is {state.value}; dead shards are "
-                "evacuated and detached, not revived"
-            )
-        breaker = self.breaker(shard_id)
-        breaker.record_success()
-        if state is not ShardHealth.HEALTHY:
-            self._transition(shard_id, ShardHealth.HEALTHY)
-
-    def forget(self, shard_id: int) -> None:
-        """Drop a detached shard's records (transitions log kept)."""
-        self._states.pop(shard_id, None)
-        self._breakers.pop(shard_id, None)
-
-    def new_round(self) -> None:
-        """Advance per-round breaker state (one half-open probe each)."""
-        for breaker in self._breakers.values():
-            breaker.new_round()
-
-    def _transition(self, shard_id: int, to: ShardHealth) -> None:
-        state = self.state(shard_id)
-        self.transitions.append((shard_id, state, to))
-        self._states[shard_id] = to
-        if self.obs.enabled:
-            self.obs.event(
-                "cluster.health.transition",
-                shard=shard_id,
-                old=state.value,
-                new=to.value,
-            )

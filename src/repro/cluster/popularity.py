@@ -38,7 +38,7 @@ persists in cluster manifest v3 and round-trips bit-exactly.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -249,17 +249,6 @@ class DemandTracker:
             score *= self._decay ** (self.round_index - stamp)
         self._scores[gid] = (score + units, self.round_index)
         self.total_units += units
-
-    def record_many(
-        self, gids: Iterable[int], counts: Optional[Iterable[int]] = None
-    ) -> None:
-        """Batch :meth:`record` (``counts`` defaults to 1 per gid)."""
-        if counts is None:
-            for gid in gids:
-                self.record(int(gid))
-        else:
-            for gid, count in zip(gids, counts):
-                self.record(int(gid), int(count))
 
     def demand(self, gid: int) -> float:
         """The object's score decayed to the current round (0.0 when

@@ -1,4 +1,4 @@
-"""Straw2-style weighted placement — a CRUSH-flavored comparator.
+"""Straw2-style placement — a CRUSH-flavored comparator.
 
 SCADDAR is a direct precursor of CRUSH (Weil et al., 2006); CRUSH's
 ``straw2`` bucket is the modern way to place a block on one of N
@@ -9,72 +9,23 @@ whose winner changed — provably the minimal set — and *any* disk can
 leave, which jump hash cannot do.
 
 The straw is ``ln(u) / weight`` with ``u`` uniform in (0, 1] derived
-from ``hash(block, disk)``; the implementation keeps disks identified by
-stable internal node ids (like the ring policy) so logical indices stay
-compact for the shared interface.
+from ``hash(block, disk)``; disks keep stable internal node ids (like
+the ring policy) so logical indices stay compact for the shared
+interface.  The kernels and the weighted backend live in
+:mod:`repro.placement.weighted_straw`; ``straw`` is that backend at
+unit weights.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
-
-import numpy as np
-
-from repro.core.operations import ScalingOp
-from repro.core.remap import survivor_ranks
+from repro.core.errors import UnsupportedOperationError
 from repro.placement.base import PlacementPolicy
-from repro.placement.consistent_hash import _mix64_batch
-from repro.prng.generators import _mix64
-from repro.storage.block import Block, BlockId
-
-_STRAW_SALT = 0x57A3A_2
+from repro.placement.weighted_straw import WeightedStrawPolicy
+from repro.placement.weighted_straw import straw_length as straw_length
+from repro.placement.weighted_straw import straw_winners as straw_winners
 
 
-def straw_length(x0: int, node_id: int, weight: float = 1.0) -> float:
-    """The straw this disk draws for this block (larger wins).
-
-    ``ln(u) / w`` with ``u = (hash + 1) / 2**64`` in (0, 1]: maximizing
-    this over disks samples disk ``i`` with probability proportional to
-    ``w_i`` (the straw2 construction).
-    """
-    if weight <= 0:
-        raise ValueError(f"weight must be > 0, got {weight}")
-    h = _mix64(_mix64(x0 ^ _STRAW_SALT) + node_id)
-    u = (h + 1) / 2.0**64  # in (0, 1]
-    return math.log(u) / weight
-
-
-def straw_winners(
-    x0s: np.ndarray,
-    node_ids: Sequence[int],
-    weights: Optional[Sequence[float]] = None,
-) -> np.ndarray:
-    """Vectorized straw2 selection: winning *position* per block.
-
-    One :func:`_mix64_batch` pass per node over the whole block batch —
-    the draw loop runs over N nodes, not N x blocks Python iterations.
-    Ties resolve to the earliest position (matching a scalar loop with a
-    strict ``>`` comparison); both the scalar and batched policy lookups
-    route through this one kernel so they cannot diverge.
-    """
-    x0s = np.asarray(x0s, dtype=np.uint64)
-    inner = _mix64_batch(x0s ^ np.uint64(_STRAW_SALT))
-    best = np.full(x0s.shape, -np.inf)
-    winner = np.zeros(x0s.shape, dtype=np.int64)
-    for position, node_id in enumerate(node_ids):
-        h = _mix64_batch(inner + np.uint64(node_id))
-        u = (h.astype(np.float64) + 1.0) * 2.0**-64  # in (0, 1]
-        straw = np.log(u)
-        if weights is not None:
-            straw /= weights[position]
-        better = straw > best
-        best = np.where(better, straw, best)
-        winner = np.where(better, position, winner)
-    return winner
-
-
-class StrawPolicy(PlacementPolicy):
+class StrawPolicy(WeightedStrawPolicy):
     """Straw2 selection over unit-weight disks behind the shared interface.
 
     Parameters
@@ -87,42 +38,25 @@ class StrawPolicy(PlacementPolicy):
     State is one stable node id per disk (O(N)); lookups are O(N) straw
     draws per block.  Arbitrary group addition *and* removal are
     supported — the property SCADDAR shares and jump hash lacks.
+
+    Every weight is 1.0, so the state follows from the operation log
+    and the persistence payload is the log alone, replayed on restore;
+    :meth:`set_weight` is refused, because a weight would not survive
+    that payload.
     """
 
     name = "straw"
 
+    # The log-only payload of PlacementPolicy, not the weighted node table.
+    state_payload = PlacementPolicy.state_payload
+    from_payload = vars(PlacementPolicy)["from_payload"]
+
     def __init__(self, n0: int):
-        self._nodes: list[int] = list(range(n0))
-        self._next_node_id = n0
         super().__init__(n0)
 
-    def disk_of(self, block: Block) -> int:
-        return self.locate_one(block.block_id, block.x0)
-
-    def locate_one(self, block_id: BlockId, x0: int) -> int:
-        return int(
-            self.locate_batch(None, np.asarray([x0], dtype=np.uint64))[0]
+    def set_weight(self, logical: int, weight: float) -> None:
+        """Refused: the ``straw`` backend's weights are all 1.0."""
+        raise UnsupportedOperationError(
+            "the straw backend has unit weights; use weighted_straw to "
+            "re-weight members"
         )
-
-    def locate_batch(
-        self,
-        block_ids: Optional[Sequence[BlockId]],
-        x0s: np.ndarray,
-    ) -> np.ndarray:
-        """Batched straw draws: one vectorized pass per node."""
-        return straw_winners(x0s, self._nodes)
-
-    def state_entries(self) -> int:
-        """One node-id record per disk."""
-        return len(self._nodes)
-
-    def _on_apply(self, op: ScalingOp, n_before: int, n_after: int) -> None:
-        if op.kind == "add":
-            fresh = range(self._next_node_id, self._next_node_id + op.count)
-            self._nodes.extend(fresh)
-            self._next_node_id += op.count
-            return
-        ranks = survivor_ranks(op.removed, n_before)
-        self._nodes = [
-            node for logical, node in enumerate(self._nodes) if ranks[logical] >= 0
-        ]

@@ -5,12 +5,14 @@ unit logical disks (Section 6 / :mod:`repro.storage.hetero`); CRUSH's
 straw2 instead weights the selection draw directly: disk ``i`` wins a
 block with probability proportional to ``w_i``, no virtual disks needed.
 
-Two faces of the same selection rule live here:
+The straw kernels live here (:func:`straw_length`, :func:`straw_winners`),
+with two faces of the same selection rule:
 
 * :class:`WeightedStrawPolicy` — the full backend
   (:class:`~repro.placement.base.PlacementPolicy` + persistence
   identity), registered as ``weighted_straw`` so the server stack and
-  the cluster router can place on weighted members;
+  the cluster router can place on weighted members; the unit-weight
+  ``straw`` backend (:mod:`repro.placement.straw`) is its subclass;
 * :class:`WeightedStrawPool` — a thin physical-id-keyed pool mirroring
   the :class:`~repro.storage.hetero.HeterogeneousPool` interface so the
   heterogeneous experiment can compare the two approaches on identical
@@ -19,6 +21,7 @@ Two faces of the same selection rule live here:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +29,54 @@ import numpy as np
 from repro.core.operations import ScalingOp
 from repro.core.remap import survivor_ranks
 from repro.placement.base import PlacementPolicy, _restore_log
-from repro.placement.straw import straw_length, straw_winners
+from repro.placement.consistent_hash import _mix64_batch
+from repro.prng.generators import _mix64
 from repro.storage.block import Block, BlockId
+
+_STRAW_SALT = 0x57A3A_2
+
+
+def straw_length(x0: int, node_id: int, weight: float = 1.0) -> float:
+    """The straw this disk draws for this block (larger wins).
+
+    ``ln(u) / w`` with ``u = (hash + 1) / 2**64`` in (0, 1]: maximizing
+    this over disks samples disk ``i`` with probability proportional to
+    ``w_i`` (the straw2 construction).
+    """
+    if weight <= 0:
+        raise ValueError(f"weight must be > 0, got {weight}")
+    h = _mix64(_mix64(x0 ^ _STRAW_SALT) + node_id)
+    u = (h + 1) / 2.0**64  # in (0, 1]
+    return math.log(u) / weight
+
+
+def straw_winners(
+    x0s: np.ndarray,
+    node_ids: Sequence[int],
+    weights: Optional[Sequence[float]] = None,
+) -> np.ndarray:
+    """Vectorized straw2 selection: winning *position* per block.
+
+    One :func:`_mix64_batch` pass per node over the whole block batch —
+    the draw loop runs over N nodes, not N x blocks Python iterations.
+    Ties resolve to the earliest position (matching a scalar loop with a
+    strict ``>`` comparison); both the scalar and batched policy lookups
+    route through this one kernel so they cannot diverge.
+    """
+    x0s = np.asarray(x0s, dtype=np.uint64)
+    inner = _mix64_batch(x0s ^ np.uint64(_STRAW_SALT))
+    best = np.full(x0s.shape, -np.inf)
+    winner = np.zeros(x0s.shape, dtype=np.int64)
+    for position, node_id in enumerate(node_ids):
+        h = _mix64_batch(inner + np.uint64(node_id))
+        u = (h.astype(np.float64) + 1.0) * 2.0**-64  # in (0, 1]
+        straw = np.log(u)
+        if weights is not None:
+            straw /= weights[position]
+        better = straw > best
+        best = np.where(better, straw, best)
+        winner = np.where(better, position, winner)
+    return winner
 
 
 class WeightedStrawPolicy(PlacementPolicy):
@@ -39,8 +88,8 @@ class WeightedStrawPolicy(PlacementPolicy):
         Initial disk count.
     weights:
         Selection weight per initial disk (default: all 1.0, in which
-        case placement coincides with :class:`~repro.placement.straw
-        .StrawPolicy` up to the weighted draw's float division).
+        case placement is exactly :class:`~repro.placement.straw
+        .StrawPolicy`'s: dividing a straw by 1.0 is exact).
 
     Notes
     -----

@@ -1,20 +1,17 @@
-"""Per-disk health: state machine, circuit breakers, and the scrubber.
+"""Per-disk health and the scrubber.
 
 The serving path's view of the array's disks.  Each physical disk walks
-a four-state machine::
+the four-state machine of :mod:`repro.health`, with one
+:class:`~repro.health.CircuitBreaker` per disk::
 
     healthy --breaker trips--> suspect --probe succeeds--> healthy
     healthy/suspect --death--> dead --replacement installed--> rebuilding
     rebuilding --scrub completes--> healthy
 
-*Suspect* is reversible (a flaky cable, a firmware stall): a per-disk
-circuit breaker trips after ``trip_after`` consecutive read failures,
-blocks further reads for a cooldown that doubles on every re-trip
-(capped exponential backoff), then lets exactly one *half-open* probe
-through; success closes the breaker, failure re-opens it.  *Dead* is
-not: only installing a replacement (``begin_rebuild``) leaves it, and
-the replacement serves no reads until the :class:`Scrubber` has
-re-verified every resident block and promoted it back to *healthy*.
+A dead disk is rebuilt in place: only installing a replacement
+(``begin_rebuild``) leaves *dead*, and the replacement serves no reads
+until the :class:`Scrubber` has re-verified every resident block and
+promoted it back to *healthy*.
 
 The scrubber also runs in steady state: it walks the whole block
 population at a bounded rate per round, verifies primary/mirror
@@ -27,9 +24,11 @@ read-repairs what it finds — the background repair loop that keeps
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.health import CircuitBreaker as CircuitBreaker
+from repro.health import Health, HealthMonitor
+from repro.health import HealthTransitionError as HealthTransitionError
 from repro.storage.array import DiskArray
 from repro.storage.block import BlockId
 
@@ -38,138 +37,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.faults import FaultInjector
 
 
-class DiskHealth(Enum):
-    """Serving-path health of one physical disk."""
-
-    HEALTHY = "healthy"
-    SUSPECT = "suspect"
-    DEAD = "dead"
-    REBUILDING = "rebuilding"
+#: A disk's health state: the one :class:`~repro.health.Health` enum.
+DiskHealth = Health
 
 
-class CircuitBreaker:
-    """Trip-after-K breaker with capped exponential cooldown.
-
-    Parameters
-    ----------
-    trip_after:
-        Consecutive failures that open the breaker.
-    cooldown_rounds:
-        Rounds the breaker stays open before allowing one half-open
-        probe.  Doubles on every consecutive re-trip, capped at
-        ``max_cooldown_rounds`` — the read path's exponential backoff.
-    max_cooldown_rounds:
-        Cooldown growth cap.
-    """
-
-    def __init__(
-        self,
-        trip_after: int = 3,
-        cooldown_rounds: int = 4,
-        max_cooldown_rounds: int = 64,
-    ):
-        if trip_after < 1:
-            raise ValueError(f"trip_after must be >= 1, got {trip_after}")
-        if cooldown_rounds < 1:
-            raise ValueError(
-                f"cooldown_rounds must be >= 1, got {cooldown_rounds}"
-            )
-        if max_cooldown_rounds < cooldown_rounds:
-            raise ValueError(
-                f"max_cooldown_rounds {max_cooldown_rounds} < "
-                f"cooldown_rounds {cooldown_rounds}"
-            )
-        self.trip_after = trip_after
-        self.base_cooldown = cooldown_rounds
-        self.max_cooldown = max_cooldown_rounds
-        self.consecutive_failures = 0
-        self.trips = 0
-        self._open_since: Optional[int] = None
-        self._cooldown = cooldown_rounds
-        self._probing = False
-
-    @property
-    def is_open(self) -> bool:
-        """Whether the breaker currently blocks reads."""
-        return self._open_since is not None
-
-    @property
-    def is_quiescent(self) -> bool:
-        """Closed, with no partial failure streak and the base cooldown.
-
-        On a quiescent breaker ``allows()`` is True and
-        ``record_success()`` changes no state — the property the
-        vectorized degraded path relies on to serve a disk's reads
-        wholesale without touching its breaker per read.
-        """
-        return (
-            self._open_since is None
-            and self.consecutive_failures == 0
-            and self._cooldown == self.base_cooldown
-            and not self._probing
-        )
-
-    @property
-    def current_cooldown(self) -> int:
-        """Rounds the breaker waits before its next half-open probe.
-
-        Starts at ``base_cooldown``, doubles on every failed half-open
-        probe, caps at ``max_cooldown``, and resets to the base on any
-        success — the property the backoff Hypothesis test pins.
-        """
-        return self._cooldown
-
-    def allows(self, round_index: int) -> bool:
-        """Whether a read may be attempted this round.
-
-        Open breakers admit exactly one probe per round once the
-        cooldown has elapsed (the half-open state).
-        """
-        if self._open_since is None:
-            return True
-        if round_index - self._open_since < self._cooldown:
-            return False
-        if self._probing:
-            return False
-        self._probing = True
-        return True
-
-    def record_success(self) -> None:
-        """A read succeeded: close the breaker, reset the backoff."""
-        self.consecutive_failures = 0
-        self._open_since = None
-        self._cooldown = self.base_cooldown
-        self._probing = False
-
-    def record_failure(self, round_index: int) -> bool:
-        """A read failed; returns True when this failure trips the
-        breaker (closed -> open, or a half-open probe re-opening it)."""
-        self.consecutive_failures += 1
-        if self._open_since is not None:
-            # A failed half-open probe: re-open with doubled cooldown.
-            self.trips += 1
-            self._open_since = round_index
-            self._cooldown = min(self._cooldown * 2, self.max_cooldown)
-            self._probing = False
-            return True
-        if self.consecutive_failures >= self.trip_after:
-            self.trips += 1
-            self._open_since = round_index
-            self._probing = False
-            return True
-        return False
-
-    def new_round(self) -> None:
-        """Reset the one-probe-per-round latch."""
-        self._probing = False
-
-
-class HealthTransitionError(Exception):
-    """Raised on an illegal health-state transition."""
-
-
-class DiskHealthMonitor:
+class DiskHealthMonitor(HealthMonitor):
     """Tracks every disk's health state and circuit breaker.
+
+    The shared :class:`~repro.health.HealthMonitor`, keyed by physical
+    disk id.  A rebuilding disk is rebuilt in place: the
+    :class:`Scrubber` marks it healthy once every resident block is
+    re-verified.  Events are keyed ``disk=`` with the disk's logical
+    position.
 
     Parameters
     ----------
@@ -184,6 +63,11 @@ class DiskHealthMonitor:
         ``breaker.probe``.
     """
 
+    member_key = "disk"
+    revive_hint = (
+        "install a replacement (begin_rebuild) before marking it healthy"
+    )
+
     def __init__(
         self,
         array: DiskArray,
@@ -192,60 +76,8 @@ class DiskHealthMonitor:
         max_cooldown_rounds: int = 64,
         obs: Optional["ObsHandle"] = None,
     ):
-        from repro.obs import NULL_OBS
-
+        super().__init__(trip_after, cooldown_rounds, max_cooldown_rounds, obs)
         self.array = array
-        self._trip_after = trip_after
-        self._cooldown = cooldown_rounds
-        self._max_cooldown = max_cooldown_rounds
-        self.obs = obs if obs is not None else NULL_OBS
-        self._states: dict[int, DiskHealth] = {}
-        self._breakers: dict[int, CircuitBreaker] = {}
-        #: Cumulative state-transition log: (physical, from, to).
-        self.transitions: list[tuple[int, DiskHealth, DiskHealth]] = []
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def state(self, physical_id: int) -> DiskHealth:
-        """Current health state of a disk (healthy until told otherwise)."""
-        return self._states.get(physical_id, DiskHealth.HEALTHY)
-
-    def breaker(self, physical_id: int) -> CircuitBreaker:
-        """The disk's circuit breaker (created on first touch)."""
-        breaker = self._breakers.get(physical_id)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self._trip_after, self._cooldown, self._max_cooldown
-            )
-            self._breakers[physical_id] = breaker
-        return breaker
-
-    def is_readable(self, physical_id: int, round_index: int) -> bool:
-        """Whether the serving path may read this disk this round.
-
-        Dead and rebuilding disks never serve; suspect disks serve only
-        the breaker's half-open probe.
-        """
-        state = self.state(physical_id)
-        if state in (DiskHealth.DEAD, DiskHealth.REBUILDING):
-            return False
-        return self.breaker(physical_id).allows(round_index)
-
-    def serves_unimpeded(self, physical_id: int) -> bool:
-        """Whether a successful read from this disk needs no per-read
-        health machinery this round.
-
-        True when the disk is healthy and its breaker (if one was ever
-        created) is quiescent: ``is_readable`` would be True and
-        ``observe_success`` would be a state no-op, so the vectorized
-        degraded path can serve all of the disk's primary reads in one
-        batch.  Deliberately does *not* create a breaker.
-        """
-        if self.state(physical_id) is not DiskHealth.HEALTHY:
-            return False
-        breaker = self._breakers.get(physical_id)
-        return breaker is None or breaker.is_quiescent
 
     def snapshot(self) -> dict[int, str]:
         """Health state of every disk currently in the array."""
@@ -261,72 +93,7 @@ class DiskHealthMonitor:
             if self.state(pid) is state
         )
 
-    # ------------------------------------------------------------------
-    # Observations / transitions
-    # ------------------------------------------------------------------
-    def observe_success(self, physical_id: int) -> None:
-        """A read from the disk succeeded (closes the breaker; a suspect
-        disk whose probe succeeded returns to healthy)."""
-        breaker = self.breaker(physical_id)
-        was_open = breaker.is_open
-        breaker.record_success()
-        if was_open and self.obs.enabled:
-            self.obs.event(
-                "breaker.probe", disk=self._disk_label(physical_id), ok=True
-            )
-        if self.state(physical_id) is DiskHealth.SUSPECT:
-            self._transition(physical_id, DiskHealth.HEALTHY)
-
-    def observe_failure(self, physical_id: int, round_index: int) -> None:
-        """A read from the disk failed; trips the breaker after K in a
-        row, demoting the disk to suspect."""
-        breaker = self.breaker(physical_id)
-        tripped = breaker.record_failure(round_index)
-        if tripped and self.obs.enabled:
-            self.obs.event(
-                "breaker.trip",
-                disk=self._disk_label(physical_id),
-                round=round_index,
-                trips=breaker.trips,
-                cooldown=breaker.current_cooldown,
-            )
-        if tripped and self.state(physical_id) is DiskHealth.HEALTHY:
-            self._transition(physical_id, DiskHealth.SUSPECT)
-
-    def mark_dead(self, physical_id: int) -> None:
-        """The disk died (whole-disk failure at serve time)."""
-        if self.state(physical_id) is not DiskHealth.DEAD:
-            self._transition(physical_id, DiskHealth.DEAD)
-
-    def begin_rebuild(self, physical_id: int) -> None:
-        """A replacement drive was installed in a dead disk's slot; the
-        scrubber now owns driving it back to healthy."""
-        if self.state(physical_id) is not DiskHealth.DEAD:
-            raise HealthTransitionError(
-                f"disk {physical_id} is {self.state(physical_id).value}, "
-                "not dead; only dead disks can begin rebuilding"
-            )
-        self._transition(physical_id, DiskHealth.REBUILDING)
-
-    def mark_healthy(self, physical_id: int) -> None:
-        """Scrub complete: the rebuilding (or suspect) disk is whole."""
-        state = self.state(physical_id)
-        if state is DiskHealth.DEAD:
-            raise HealthTransitionError(
-                f"disk {physical_id} is dead; install a replacement "
-                "(begin_rebuild) before marking it healthy"
-            )
-        breaker = self.breaker(physical_id)
-        breaker.record_success()
-        if state is not DiskHealth.HEALTHY:
-            self._transition(physical_id, DiskHealth.HEALTHY)
-
-    def new_round(self) -> None:
-        """Advance per-round breaker state (one half-open probe each)."""
-        for breaker in self._breakers.values():
-            breaker.new_round()
-
-    def _disk_label(self, physical_id: int) -> int:
+    def _label(self, physical_id: int) -> int:
         """The disk's logical position, for event payloads.
 
         Physical ids come from a process-global counter, so two seeded
@@ -338,18 +105,6 @@ class DiskHealthMonitor:
             return self.array.logical_of(physical_id)
         except KeyError:
             return -1
-
-    def _transition(self, physical_id: int, to: DiskHealth) -> None:
-        state = self.state(physical_id)
-        self.transitions.append((physical_id, state, to))
-        self._states[physical_id] = to
-        if self.obs.enabled:
-            self.obs.event(
-                "health.transition",
-                disk=self._disk_label(physical_id),
-                old=state.value,
-                new=to.value,
-            )
 
 
 @dataclass

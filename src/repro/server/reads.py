@@ -38,7 +38,7 @@ from repro.server.faults import (
     MirrorDegenerateError,
     MirroredPlacement,
 )
-from repro.server.health import DiskHealth, DiskHealthMonitor, Scrubber
+from repro.server.health import DiskHealthMonitor, Scrubber
 from repro.storage.array import DiskArray
 from repro.storage.block import BlockId
 
@@ -352,12 +352,8 @@ class FailoverReadPlanner:
         loads: Optional[dict[int, int]] = None,
     ) -> str:
         """Attempt a whole recovery path (every disk must deliver)."""
-        for pid in disks:
-            if self.monitor.state(pid) in (
-                DiskHealth.DEAD,
-                DiskHealth.REBUILDING,
-            ):
-                return _FAILED
+        if not all(self.monitor.is_live(pid) for pid in disks):
+            return _FAILED
         if any(bandwidth.get(pid, 0) <= 0 for pid in disks):
             return _FAILED
         slow = False

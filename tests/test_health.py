@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.health import ClusterHealthMonitor, ShardHealth
+from repro.health import Health
+from repro.obs import Obs
 from repro.server.cmserver import CMServer
 from repro.server.faults import FaultInjector
 from repro.server.health import (
@@ -202,6 +205,73 @@ class TestDiskHealthMonitor:
             ("dead", "rebuilding"),
             ("rebuilding", "healthy"),
         ]
+
+
+class TestSharedStateMachine:
+    """Disks and shards run one state machine (:mod:`repro.health`);
+    only their event kinds, payload key and exit from rebuilding
+    differ."""
+
+    @staticmethod
+    def build(layer, server, obs):
+        # Either member's event label is 2: the disk's logical position,
+        # the shard's stable id.
+        if layer == "disk":
+            monitor = DiskHealthMonitor(
+                server.array, trip_after=2, cooldown_rounds=1, obs=obs
+            )
+            return monitor, server.array.physical_at(2), "", "disk"
+        monitor = ClusterHealthMonitor(
+            trip_after=2, cooldown_rounds=1, obs=obs
+        )
+        return monitor, 2, "cluster.", "shard"
+
+    @pytest.mark.parametrize("layer", ["disk", "shard"])
+    def test_one_transition_script(self, layer, server):
+        obs = Obs()
+        monitor, member, prefix, key = self.build(layer, server, obs)
+        monitor.observe_failure(member, 0)
+        monitor.observe_failure(member, 0)  # trips: suspect
+        monitor.new_round()
+        assert monitor.is_readable(member, 1)  # the half-open probe
+        monitor.observe_success(member)  # recovers
+        monitor.mark_dead(member)
+        monitor.begin_rebuild(member)
+        if layer == "disk":
+            monitor.mark_healthy(member)  # the scrubber's edge
+        else:
+            with pytest.raises(HealthTransitionError):
+                monitor.mark_healthy(member)
+            monitor.forget(member)  # detached
+        assert monitor.state(member) is Health.HEALTHY
+        healthy, suspect, dead, rebuilding = Health
+        log = [
+            (healthy, suspect),
+            (suspect, healthy),
+            (healthy, dead),
+            (dead, rebuilding),
+        ]
+        if layer == "disk":
+            log.append((rebuilding, healthy))
+        assert monitor.transitions == [(member, f, t) for f, t in log]
+
+        def moved(old, new):
+            return (prefix + "health.transition",
+                    [(key, 2), ("old", old.value), ("new", new.value)])
+
+        expected = [
+            (prefix + "breaker.trip",
+             [(key, 2), ("round", 0), ("trips", 1), ("cooldown", 1)]),
+            moved(healthy, suspect),
+            (prefix + "breaker.probe", [(key, 2), ("ok", True)]),
+        ] + [moved(f, t) for f, t in log[1:]]
+        assert [
+            (event.kind, list(event.fields.items()))
+            for event in obs.log.events
+        ] == expected
+
+    def test_both_layers_name_one_enum(self):
+        assert DiskHealth is ShardHealth is Health
 
 
 class TestScrubber:

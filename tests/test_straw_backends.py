@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.router import ShardRouter, routing_keys
+from repro.core.errors import UnsupportedOperationError
 from repro.core.operations import ScalingOp
 from repro.placement.backends import (
     BACKENDS,
@@ -106,6 +107,21 @@ class TestWeightedPayload:
             policy.locate_batch(None, KEYS),
         )
 
+    def test_unit_weight_payload_is_the_log_alone(self):
+        # ``straw`` is weighted straw at unit weights, but its snapshots
+        # keep the log-only payload, so older snapshots still restore.
+        policy = StrawPolicy(5)
+        policy.apply(ScalingOp.add(2))
+        policy.apply(ScalingOp.remove([1, 3]))
+        payload = policy.state_payload()
+        assert list(payload) == ["operation_log"]
+        restored = backend_from_payload("straw", payload)
+        assert type(restored) is StrawPolicy
+        assert np.array_equal(
+            restored.locate_batch(None, KEYS),
+            policy.locate_batch(None, KEYS),
+        )
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             WeightedStrawPolicy(3, weights=[1.0, 2.0])
@@ -133,6 +149,13 @@ class TestReweighting:
         policy = WeightedStrawPolicy(3)
         with pytest.raises(ValueError):
             policy.set_weight(0, 0.0)
+
+    def test_unit_weight_straw_refuses_reweighting(self):
+        # A weight would not survive straw's log-only payload.
+        policy = StrawPolicy(3)
+        with pytest.raises(UnsupportedOperationError):
+            policy.set_weight(0, 2.0)
+        assert policy.weight_of(0) == 1.0
 
 
 class TestMinimalMovement:
