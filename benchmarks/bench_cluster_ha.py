@@ -4,18 +4,24 @@ Two sections, each with a hard floor, persisted to
 ``BENCH_cluster_ha.json`` at the repo root:
 
 * **lookup overhead** — batched ``route_reads`` throughput over the same
-  object population at R=1 (the PR-8 routed-lookup baseline shape) and
-  at R=2 with the full failover machinery armed; the replicated rate
-  must stay within ``max_failover_overhead`` of the baseline.  The
-  all-healthy hot path gates straight to the vectorized router lookup,
-  so replication must cost (next to) nothing until something breaks.
+  object population at R=1 (the routed-lookup baseline shape) and at
+  R=2 with the full failover machinery armed; the replicated rate must
+  stay within ``max_failover_overhead`` of the baseline.  The two sides
+  take turns, one pass each, the order alternating, and the overhead
+  is read from the median of the adjacent pairs' rate ratios, so a
+  shift in the machine's speed lands on both sides of a pair.
+  The all-healthy hot path gates straight to the vectorized router
+  lookup, so replication must cost (next to) nothing until something
+  breaks.
 * **shard death availability** — a replicated cluster serving live
-  streams loses one shard mid-serving; its streams fail over to replica
-  copies and aggregate availability (served/requested across every
-  round, death round included) must hold ``min_availability``.  The
-  degraded batched-lookup rate (slow path: per-object retry/failover
-  routing) is reported alongside for scale, without a floor — it is
-  the price of a dead shard, not the steady state.
+  streams (admitted through ``admit_stream``) loses one shard
+  mid-serving; its streams fail over to replica copies and aggregate
+  availability (served/requested across every round, death round
+  included) must hold ``min_availability``.  ``kill_shard``'s wall
+  time and the viewers it moved are recorded.  The degraded
+  batched-lookup rate (slow path: per-object retry/failover routing)
+  is reported alongside for scale, without a floor — it is the price
+  of a dead shard, not the steady state.
 
 Usage::
 
@@ -27,12 +33,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
 
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.server.streams import Stream
 from repro.storage.disk import DiskSpec
 
 from benchenv import environment
@@ -102,35 +108,46 @@ def _build_lookup_cluster(
     return coordinator
 
 
-def measure_lookup_rate(
-    coordinator: ClusterCoordinator, repeats: int
-) -> dict:
-    """Best-of-three batched route_reads rate over the whole namespace."""
-    gids = list(coordinator.object_ids)
-    coordinator.route_reads(gids[:256])  # warm-up
-    best = 0.0
-    for _ in range(3):
-        start = time.perf_counter()
-        for _ in range(repeats):
-            coordinator.route_reads(gids)
-        elapsed = time.perf_counter() - start
-        best = max(best, repeats * len(gids) / elapsed)
-    return {
-        "objects": len(gids),
-        "repeats": repeats,
-        "lookups_per_sec": int(best),
-    }
+def measure_interleaved(
+    sides: list[ClusterCoordinator], passes: int
+) -> list[list[float]]:
+    """Seconds of each batched route_reads pass over a side's whole
+    namespace, ``passes`` per side, the sides taking turns (the order
+    alternating) so all see the same machine load."""
+    namespaces = [list(coordinator.object_ids) for coordinator in sides]
+    for coordinator, gids in zip(sides, namespaces):
+        coordinator.route_reads(gids[:256])  # warm-up
+    seconds: list[list[float]] = [[] for _ in sides]
+    for k in range(passes):
+        order = range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))
+        for i in order:
+            start = time.perf_counter()
+            sides[i].route_reads(namespaces[i])
+            seconds[i].append(time.perf_counter() - start)
+    return seconds
 
 
 def run_lookup_overhead(cfg: dict) -> dict:
     """R=1 vs R=2 batched-lookup throughput on all-healthy clusters."""
-    baseline_cluster = _build_lookup_cluster(cfg, replication_factor=1)
-    replicated_cluster = _build_lookup_cluster(cfg, replication_factor=2)
-    baseline = measure_lookup_rate(baseline_cluster, cfg["lookup_repeats"])
-    replicated = measure_lookup_rate(replicated_cluster, cfg["lookup_repeats"])
-    overhead = 1.0 - (
-        replicated["lookups_per_sec"] / baseline["lookups_per_sec"]
+    sides = [
+        _build_lookup_cluster(cfg, replication_factor=1),
+        _build_lookup_cluster(cfg, replication_factor=2),
+    ]
+    seconds = measure_interleaved(sides, cfg["lookup_repeats"])
+    # Each side's rate at its median pass, for the record; the overhead
+    # is the median of the adjacent pairs' rate ratios, so a slow moment
+    # lands on one pair, not on one side.
+    baseline, replicated = (
+        {
+            "objects": coordinator.num_objects,
+            "repeats": len(passes),
+            "lookups_per_sec": int(
+                coordinator.num_objects / statistics.median(passes)
+            ),
+        }
+        for coordinator, passes in zip(sides, seconds)
     )
+    overhead = 1.0 - statistics.median(b / r for b, r in zip(*seconds))
     return {
         "baseline": baseline,
         "replicated": replicated,
@@ -157,8 +174,9 @@ def run_shard_death(cfg: dict) -> dict:
         coordinator.add_object(
             f"title-{i}", cfg["blocks_per_object"], cfg["rate"]
         )
-    # Admit streams against each object's *home* shard, spread so every
-    # shard is serving when the victim dies.
+    # Admit streams through the coordinator (a healthy cluster serves
+    # each at its object's home shard), spread so every shard is
+    # serving when the victim dies.
     by_shard: dict[int, list[int]] = {
         sid: [] for sid in coordinator.shard_ids
     }
@@ -166,24 +184,19 @@ def run_shard_death(cfg: dict) -> dict:
         by_shard[coordinator.shard_of(gid)].append(gid)
     stream_id = 0
     for sid, gids in sorted(by_shard.items()):
-        if not gids:
-            continue
-        shard = coordinator.shard(sid)
-        for i in range(cfg["streams_per_shard"]):
-            gid = gids[i % len(gids)]
-            media = shard.server.catalog.get(coordinator.local_id_of(gid))
-            shard.scheduler.admit(
-                Stream(
-                    stream_id,
-                    media,
-                    start_block=(i * 97) % media.num_blocks,
-                )
+        for i in range(cfg["streams_per_shard"] if gids else 0):
+            coordinator.admit_stream(
+                stream_id,
+                gids[i % len(gids)],
+                start_block=(i * 97) % cfg["blocks_per_object"],
             )
             stream_id += 1
 
     reports = list(coordinator.run_rounds(cfg["rounds_before_kill"]))
     victim = coordinator.shard_ids[0]
+    start = time.perf_counter()
     death = coordinator.kill_shard(victim)
+    kill_s = time.perf_counter() - start
     reports.extend(coordinator.run_rounds(cfg["rounds_after_kill"]))
 
     requested = sum(r.requested for r in reports)
@@ -203,6 +216,9 @@ def run_shard_death(cfg: dict) -> dict:
         "streams": stream_id,
         "streams_failed_over": death.streams_failed_over,
         "streams_stranded": death.streams_stranded,
+        "streams_finished": death.streams_finished,
+        "streams_dropped": death.streams_dropped,
+        "kill_ms": round(kill_s * 1e3, 3),
         "rounds": len(reports),
         "requested": requested,
         "served": served,
@@ -240,7 +256,10 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"death     : shard {death['victim']} died with "
         f"{death['streams_failed_over']} streams failed over "
-        f"({death['streams_stranded']} stranded); availability "
+        f"({death['streams_stranded']} stranded, "
+        f"{death['streams_finished']} finished, "
+        f"{death['streams_dropped']} dropped) in "
+        f"{death['kill_ms']:.2f} ms; availability "
         f"{death['availability']:.4f} over {death['rounds']} rounds "
         f"(floor {cfg['min_availability']:.2f})"
     )

@@ -13,8 +13,8 @@ journaled rebalance with the familiar begin / migrate / finish shape:
   journals the intent;
 * :meth:`migrate_next` moves one object — ingest on the target shard
   (:class:`~repro.server.ingest.IngestSession`, so a landed migration is
-  indistinguishable from an initial load), drop from the source, re-home
-  any live streams — and journals the apply;
+  indistinguishable from an initial load), drop from the source, move
+  its live viewers' table rows — and journals the apply;
 * :meth:`finish_reshard` verifies doomed shards drained and commits.
 
 A crash anywhere in that sequence is recovered by
@@ -40,6 +40,7 @@ Identity rules (all mirroring the single-server design):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -63,11 +64,11 @@ from repro.cluster.router import ROUTER_SALT, ShardRouter
 from repro.cluster.shard import ShardNode
 from repro.core.operations import ScalingOp
 from repro.health import HealthTransitionError
-from repro.server.admission import AdmissionRefusedError
 from repro.server.cmserver import OperationInFlightError, ScaleReport
 from repro.server.ingest import IngestSession
+from repro.server.objects import MediaObject
 from repro.server.scheduler import RoundReport
-from repro.server.streams import Stream, StreamState
+from repro.server.streams import Stream, StreamTable
 from repro.storage.disk import DiskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -236,7 +237,10 @@ class ClusterRoundReport:
 
 @dataclass(frozen=True)
 class ShardDeathReport:
-    """What :meth:`ClusterCoordinator.kill_shard` did about one death."""
+    """What :meth:`ClusterCoordinator.kill_shard` did about one death.
+
+    The four counts partition the streams the dead shard was serving.
+    """
 
     shard_id: int
     #: Live streams moved to a replica copy on another shard.
@@ -245,6 +249,120 @@ class ShardDeathReport:
     #: demand keeps counting as hiccups until the object is declared
     #: lost or the stream departs.
     streams_stranded: int
+    #: Streams that had played to their end: nothing left to serve, so
+    #: they depart.
+    streams_finished: int = 0
+    #: Streams admitted straight into the shard's scheduler, not through
+    #: :meth:`ClusterCoordinator.admit_stream`: the coordinator has no
+    #: title for them to route, so they are lost with the shard.
+    streams_dropped: int = 0
+
+
+class _Placement:
+    """Where moving viewers go, by the per-viewer rule.
+
+    In row order, a viewer goes to its route's shard if that shard's
+    admission policy takes it, else to the first later copy in route
+    order that is readable and takes it; a viewer every copy refuses,
+    or whose title no copy can serve, is stranded.  Each shard's
+    admission is asked at its active demand plus the playing rates of
+    the viewers placed there before.  Until the first refusal the rule
+    puts every viewer at its route's shard, which each shard's policy
+    checks for its whole queue at once
+    (:meth:`~repro.server.admission.AdmissionPolicy.admits_in_turn`);
+    the viewers from the first refused one on are placed one at a time.
+    A handoff with no refusal, the usual one, thus costs a few numpy
+    calls per target shard rather than a Python call per viewer.
+    """
+
+    def __init__(
+        self,
+        coordinator: "ClusterCoordinator",
+        titles: np.ndarray,
+        routes: list[tuple[tuple[int, ...], bool]],
+    ):
+        self.c = coordinator
+        self.titles = titles
+        self.routes = routes
+        #: (title index, shard id) -> the title's catalog entry there.
+        self._copies: dict[tuple[int, int], MediaObject] = {}
+        #: shard id -> [admission policy, array, active demand with the
+        #: viewers placed so far].
+        self._gates: dict[int, list] = {}
+        self._readable: dict[int, bool] = {}
+
+    def copy(self, t: int, shard_id: int) -> MediaObject:
+        """Title ``t``'s catalog entry on one shard."""
+        media = self._copies.get((t, shard_id))
+        if media is None:
+            media = self._copies[(t, shard_id)] = self.c._copy_media(
+                self.titles.item(t), shard_id
+            )
+        return media
+
+    def gate(self, shard_id: int) -> list:
+        gate = self._gates.get(shard_id)
+        if gate is None:
+            scheduler = self.c._shard_by_id[shard_id].scheduler
+            gate = self._gates[shard_id] = [
+                scheduler.admission,
+                scheduler.array,
+                scheduler.table.active_demand,
+            ]
+        return gate
+
+    def readable(self, shard_id: int) -> bool:
+        ok = self._readable.get(shard_id)
+        if ok is None:
+            ok = self._readable[shard_id] = self.c.health.is_readable(
+                shard_id, self.c.round_index
+            )
+        return ok
+
+    def decide(self, title_of: np.ndarray, playing: np.ndarray) -> np.ndarray:
+        """Each viewer's target shard id (-1: stranded), in row order,
+        given its title index and whether it plays once moved."""
+        first = np.array(
+            [shards[0] if shards else -1 for shards, _ in self.routes],
+            dtype=np.int64,
+        )
+        rates = np.array(
+            [
+                self.copy(t, shards[0]).blocks_per_round if shards else 0
+                for t, (shards, _) in enumerate(self.routes)
+            ],
+            dtype=np.int64,
+        )
+        target = first[title_of]
+        rate = rates[title_of]
+        cut = len(target)
+        for shard_id in _group(target[target >= 0])[0].tolist():
+            queue = np.flatnonzero(target == shard_id)
+            policy, array, demand = self.gate(shard_id)
+            admitted = policy.admits_in_turn(
+                array, demand, rate[queue], playing[queue]
+            )
+            if admitted < len(queue):
+                cut = min(cut, queue.item(admitted))
+        added = (rate * playing)[:cut]
+        for shard_id, gate in self._gates.items():
+            gate[2] += int(added[target[:cut] == shard_id].sum())
+        for p in range(cut, len(target)):
+            target[p] = self._one(title_of.item(p), bool(playing[p]))
+        return target
+
+    def _one(self, t: int, plays: bool) -> int:
+        """Place one viewer of title ``t``; its target (-1: stranded)."""
+        for k, shard_id in enumerate(self.routes[t][0]):
+            if k and not self.readable(shard_id):
+                continue
+            gate = self.gate(shard_id)
+            rate = self.copy(t, shard_id).blocks_per_round
+            if gate[0].admits(gate[1], gate[2], rate):
+                if plays:
+                    gate[2] += rate
+                return shard_id
+        return -1
 
 
 class ClusterCoordinator:
@@ -350,15 +468,16 @@ class ClusterCoordinator:
         self._names: dict[str, int] = {}
         #: stream id -> gid (for re-homing and departure routing).
         self._streams: dict[int, int] = {}
-        #: gid -> stream id -> the stream's current handle, for every
-        #: admitted stream (stranded ones included).  The handle is
-        #: attached to the table of the shard serving it, which
-        #: diverges from the object's home after a failover; a stranded
-        #: stream's handle is detached.  Feeds the per-title demand and
-        #: lost-title departures.
+        #: gid -> stream id -> the stream's handle, for every admitted
+        #: stream (stranded ones included).  The handle is attached to
+        #: the table of the shard serving it, which diverges from the
+        #: object's home after a failover, or to ``_stranded``; moves
+        #: re-point it, so it is the one :meth:`admit_stream` returned.
+        #: Feeds the per-title demand and lost-title departures.
         self._viewers: dict[int, dict[int, Stream]] = {}
-        #: streams with no live copy left to serve them, by stream id.
-        self._stranded: dict[int, Stream] = {}
+        #: Streams with no live copy left to serve them, as table rows
+        #: that no round serves.
+        self._stranded = StreamTable()
         self.replication_factor = replication_factor
         self.num_domains = num_domains
         self.failover = failover if failover is not None else FailoverConfig()
@@ -814,20 +933,21 @@ class ClusterCoordinator:
         return stream
 
     def depart_stream(self, stream_id: int) -> Stream:
-        """Remove a stream from whichever shard currently serves it
-        (stranded streams depart from the coordinator's own holding
-        pen)."""
-        try:
-            gid = self._streams.pop(stream_id)
-        except KeyError:
+        """Remove a stream from the table holding it: the scheduler of
+        the shard serving it, or the stranded table."""
+        if stream_id not in self._streams:
             raise KeyError(f"stream id {stream_id} is not admitted")
+        stream = self._forget_viewer(stream_id)
+        return stream._table.remove(stream_id)
+
+    def _forget_viewer(self, stream_id: int) -> Stream:
+        """Drop an admitted stream from the registry; its handle."""
+        gid = self._streams.pop(stream_id)
         viewers = self._viewers[gid]
-        table = viewers.pop(stream_id)._table
+        stream = viewers.pop(stream_id)
         if not viewers:
             del self._viewers[gid]
-        if table is None:
-            return self._stranded.pop(stream_id)
-        return table.remove(stream_id)
+        return stream
 
     def run_round(self) -> ClusterRoundReport:
         """Serve one barrier round: every shard runs round *r* before any
@@ -837,8 +957,9 @@ class ClusterCoordinator:
         readable until each one's migration lands, exactly like a
         doomed disk serving until its blocks drain.  Dead and rebuilding
         shards serve nothing (their streams failed over at death);
-        stranded streams' demand is charged as hiccups so the
-        conservation invariant survives total copy loss.
+        stranded streams' demand is charged as hiccups (one
+        ``window_counts`` and one ``deliver`` over the stranded table)
+        so the conservation invariant survives total copy loss.
         """
         report = ClusterRoundReport(round_index=self.round_index)
         self.round_index += 1
@@ -864,12 +985,11 @@ class ClusterCoordinator:
             if not self.health.is_live(shard.shard_id):
                 continue
             report.reports[shard.shard_id] = shard.scheduler.run_round()
-        for stream_id in sorted(self._stranded):
-            stream = self._stranded[stream_id]
-            _, count = stream.demand_window()
-            if count:
-                report.stranded += count
-                stream.deliver(0, count)
+        stranded = self._stranded
+        if len(stranded):
+            counts = stranded.window_counts()
+            report.stranded = int(counts.sum())
+            stranded.deliver(np.zeros_like(counts), counts)
         if self.replication.policy is not None and self._in_flight is None:
             # One rate-bounded adaptation pass per round; paused while a
             # rebalance is in flight (its move plan owns the namespace).
@@ -900,10 +1020,12 @@ class ClusterCoordinator:
     def kill_shard(self, shard_id: int) -> ShardDeathReport:
         """A shard died: mark it dead and fail its live streams over.
 
-        Every stream the dead shard was serving is re-routed through
-        :meth:`route_read` to a surviving copy at its exact playback
-        position (paused streams stay paused); streams whose object has
-        no live copy left are *stranded* — their demand keeps counting
+        Every stream the dead shard was serving moves to a surviving
+        copy at its exact playback position (paused streams stay
+        paused), as table rows: one :meth:`route_read` per title, then
+        one bulk :meth:`~repro.server.streams.StreamTable.move` (see
+        :meth:`_rehome`).  Streams whose object has no copy
+        that can take them are *stranded* — their demand keeps counting
         as hiccups each round, so availability honestly reflects the
         loss until :meth:`begin_shard_rebuild` declares the objects
         lost or the clients depart.
@@ -919,24 +1041,19 @@ class ClusterCoordinator:
                 f"{self.health.state(shard_id).value}"
             )
         self.health.mark_dead(shard_id)
-        captured: list[Stream] = []
+        counts = (0, 0, 0, 0)
         if shard._scheduler is not None:
-            for stream in list(shard.scheduler.streams):
-                captured.append(shard.scheduler.depart(stream.stream_id))
-        stranded_before = len(self._stranded)
-        self._readmit_streams(captured)
-        stranded = len(self._stranded) - stranded_before
-        report = ShardDeathReport(
-            shard_id=shard_id,
-            streams_failed_over=len(captured) - stranded,
-            streams_stranded=stranded,
-        )
+            table = shard.scheduler.table
+            counts = self._rehome(table, table.live_rows())
+        report = ShardDeathReport(shard_id, *counts)
         if self.obs.enabled:
             self.obs.event(
                 "cluster.shard.dead",
                 shard=shard_id,
                 failed_over=report.streams_failed_over,
                 stranded=report.streams_stranded,
+                finished=report.streams_finished,
+                dropped=report.streams_dropped,
             )
             self.obs.set_gauge(
                 "cluster.shards.dead",
@@ -1334,8 +1451,9 @@ class ClusterCoordinator:
           lost — accounted, journaled as applied, and dropped from the
           namespace so the rebalance can still complete.
 
-        Live streams are re-homed at their current playback position,
-        and the object's replica invariants are repaired after the move.
+        Live streams move with the object at their current playback
+        position (table rows, see :meth:`_rehome`), and the object's
+        replica invariants are repaired after the move.
         """
         gid = move.object_id
         source = self._shard_by_id[move.source_shard]
@@ -1350,11 +1468,8 @@ class ClusterCoordinator:
         source_live = self.health.is_live(move.source_shard)
         local = self._local[gid]
 
-        rehome: list[Stream] = []
         if source_live:
             ref_media = source.server.catalog.get(local)
-            # Capture live streams before the source copy goes away.
-            rehome = self._capture_streams(source, local)
         elif target_id not in self._replica_home.get(gid, ()):
             live = [
                 sid
@@ -1389,7 +1504,7 @@ class ClusterCoordinator:
             source.server.remove_object(local)
         self._home[gid] = target_id
         self._local[gid] = new_local
-        self._readmit_streams(rehome)
+        viewers = self._rehome_copy(source, local) if source_live else 0
         self.replication.repair(gid)
 
         if journal_writes and self.journal is not None:
@@ -1401,7 +1516,7 @@ class ClusterCoordinator:
                 source=move.source_shard,
                 target=move.target_shard,
                 blocks=blocks_moved,
-                streams=len(rehome),
+                streams=viewers,
             )
 
     def _declare_lost(
@@ -1420,9 +1535,11 @@ class ClusterCoordinator:
         )
         for sid in list(self._replica_home.get(gid, ())):
             self.replication.drop_replica(gid, sid, lost=True)
+        stranded = self._stranded
         for stream_id in sorted(self._viewers.pop(gid, ())):
             del self._streams[stream_id]
-            self._stranded.pop(stream_id, None)
+            if stream_id in stranded:
+                stranded.remove(stream_id)
         self.router.unregister([gid])
         del self._home[gid]
         del self._local[gid]
@@ -1476,81 +1593,149 @@ class ClusterCoordinator:
         pending.applied.clear()
         return reversed_count
 
-    def _capture_streams(
-        self, shard: ShardNode, local_id: int
-    ) -> list[Stream]:
-        """Depart every stream a shard serves from one catalog entry."""
-        if shard._scheduler is None:
-            return []
-        scheduler = shard.scheduler
-        captured: list[Stream] = []
-        for stream in scheduler.table.streams_of(local_id):
-            captured.append(scheduler.depart(stream.stream_id))
-        return captured
+    def _rehome(
+        self, table: StreamTable, rows: np.ndarray
+    ) -> tuple[int, int, int, int]:
+        """Move the viewers at ``rows`` of ``table`` (live rows, in row
+        order) — a dead shard's, or those of a copy leaving its shard —
+        onto copies that can serve them, as table rows.
 
-    def _readmit_streams(self, streams: list[Stream]) -> None:
-        """Re-home captured streams at their playback positions.
+        Each title is routed once, through :meth:`route_read`, in the
+        order its first viewer comes, and the route's demand unit and
+        failover read are topped up to one per viewer (see
+        :meth:`_route_titles`).  Targets follow the per-viewer rule in
+        row order (see :class:`_Placement`); each target then takes its
+        viewers, and :attr:`_stranded` the stranded ones, in one
+        :meth:`~repro.server.streams.StreamTable.move`.  Viewers that
+        played to their end depart, and so do streams admitted straight
+        into the shard's scheduler (there is no title to route them by);
+        the table then compacts if its vacant rows are due.
 
-        Each stream is routed through the failover path to whichever
-        live copy can serve it; when that shard's admission control
-        refuses it, the remaining readable copies are tried in route
-        order.  A stream that no copy can take is stranded (its demand
-        keeps counting as hiccups).  Streams that finished during the
-        handoff just depart.
+        Returns ``(moved, stranded, finished, dropped)``.
         """
-        for old in streams:
-            stream_id = old.stream_id
-            gid = self._streams.get(stream_id)
-            if gid is None:
-                continue
-            if old.position >= old.media.num_blocks:
-                # Finished during the handoff: nothing left to serve.
-                del self._streams[stream_id]
-                viewers = self._viewers[gid]
-                del viewers[stream_id]
-                if not viewers:
-                    del self._viewers[gid]
-                continue
+        count = len(rows)
+        if not count:
+            return 0, 0, 0, 0
+        finished, plays = table.handoff(rows)
+        ids = np.fromiter(
+            map(_stream_id, table.handles_at(rows)), dtype=np.int64, count=count
+        )
+        known = np.ones(count, dtype=bool)
+        unknown = set(ids.tolist()).difference(self._streams)
+        if unknown:
+            known = ~np.isin(ids, np.fromiter(unknown, dtype=np.int64))
+        going = np.flatnonzero(known & ~finished)
+        titles, title_of, routes = self._route_titles(
+            table.object_id.take(rows[going]), ids[going]
+        )
+        placement = _Placement(self, titles, routes)
+        target = placement.decide(title_of, plays[going])
+
+        stranded = going[target < 0]
+        table.move(rows[stranded], [self._stranded])
+        placed = np.flatnonzero(target >= 0)
+        shards, dest_of = _group(target[placed])
+        # One catalog entry per (target, title) pair.
+        pairs, media_of = _group(dest_of * len(titles) + title_of[placed])
+        table.move(
+            rows[going[placed]],
+            [self._shard_by_id[sid].scheduler.table for sid in shards.tolist()],
+            dest_of,
+            [
+                placement.copy(t, shards.item(d))
+                for d, t in zip(*(a.tolist() for a in np.divmod(pairs, len(titles))))
+            ],
+            media_of,
+        )
+        # Departures and compaction last: both renumber rows.
+        for i in np.flatnonzero(~known | finished).tolist():
+            if known[i]:
+                self._forget_viewer(ids.item(i))
+            table.remove(ids.item(i))
+        table.compact_if_due()
+        if self.obs.enabled:
+            for i, t in zip(stranded.tolist(), title_of[target < 0].tolist()):
+                self.obs.event(
+                    "cluster.stream.stranded",
+                    stream=ids.item(i),
+                    gid=titles.item(t),
+                )
+        dropped = count - int(np.count_nonzero(known))
+        return (
+            len(placed),
+            len(stranded),
+            count - len(going) - dropped,
+            dropped,
+        )
+
+    def _rehome_copy(self, shard: ShardNode, local_id: int) -> int:
+        """Move the viewers a live shard serves from one catalog entry
+        (a copy leaving it) with :meth:`_rehome`; how many there were."""
+        if shard._scheduler is None:
+            return 0
+        table = shard.scheduler.table
+        return sum(self._rehome(table, table.live_rows(local_id)))
+
+    def _route_titles(
+        self, copies: np.ndarray, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], bool]]]:
+        """Route moving viewers, once per title.
+
+        ``copies`` holds each viewer's catalog entry on the shard it is
+        leaving and ``ids`` its stream id, in row order.  Returns the
+        titles' gids, each viewer's title index, and per title the
+        shards to try in route order — the route's shard, then the
+        copies after it; none when no copy can serve — and whether the
+        route failed over.  :meth:`route_read` records one demand unit
+        and, on a failover, one failover read per call; each title's
+        viewers after the first are recorded here, through
+        :meth:`~repro.cluster.popularity.DemandTracker.record_counts`,
+        so the tracker's scores and the counters are those of one route
+        per viewer, to the last bit.
+        """
+        _, title_of = _group(copies)
+        first_at = np.full(title_of.max(initial=-1) + 1, len(title_of))
+        np.minimum.at(first_at, title_of, np.arange(len(title_of)))
+        titles = np.fromiter(
+            (self._streams[ids.item(i)] for i in first_at.tolist()),
+            dtype=np.int64,
+            count=len(first_at),
+        )
+        routes: list[tuple[tuple[int, ...], bool]] = [((), False)] * len(titles)
+        for t in np.argsort(first_at, kind="stable").tolist():
+            gid = titles.item(t)
             try:
                 route = self.route_read(gid)
             except ObjectUnavailableError:
-                self._strand(old)
                 continue
-            if self._readmit_on(route.shard_id, gid, old):
-                continue
-            copies = (self.shard_of(gid),) + self._replica_home.get(gid, ())
-            later = copies[copies.index(route.shard_id) + 1:]
-            if not any(
-                self._readmit_on(shard_id, gid, old)
-                for shard_id in later
-                if self.health.is_readable(shard_id, self.round_index)
-            ):
-                self._strand(old)
-
-    def _readmit_on(self, shard_id: int, gid: int, old: Stream) -> bool:
-        """Admit a fresh handle for ``old`` (same position, paused state)
-        on one shard; False when the shard's admission control refuses."""
-        shard = self.shard(shard_id)
-        media = shard.server.catalog.get(self._local_id_on(gid, shard_id))
-        fresh = Stream(old.stream_id, media, start_block=old.position)
-        if old.state is StreamState.PAUSED:
-            fresh.pause()
-        try:
-            shard.scheduler.admit(fresh)
-        except AdmissionRefusedError:
-            return False
-        self._viewers[gid][old.stream_id] = fresh
-        return True
-
-    def _strand(self, stream: Stream) -> None:
-        """Park a stream with no live copy left to serve it."""
-        self._stranded[stream.stream_id] = stream
-        if self.obs.enabled:
-            self.obs.event(
-                "cluster.stream.stranded",
-                stream=stream.stream_id,
-                gid=self._streams.get(stream.stream_id),
+            copies_of = (self._home[gid],) + self._replica_home.get(gid, ())
+            routes[t] = (
+                copies_of[copies_of.index(route.shard_id):],
+                route.failed_over,
             )
+
+        extra = np.bincount(title_of, minlength=len(titles)) - 1
+        more = extra > 0
+        if not more.any():
+            return titles, title_of, routes
+        tracker = self.replication.tracker
+        if tracker is not None:
+            tracker.record_counts(titles[more], extra[more])
+            if self.obs.enabled:
+                self.obs.inc("cluster.demand.units", int(extra[more].sum()))
+        failed_over = sum(
+            n for n, (_, over) in zip(extra.tolist(), routes) if over and n > 0
+        )
+        if failed_over:
+            self.failover_reads += failed_over
+            if self.obs.enabled:
+                self.obs.inc("cluster.failover.reads", failed_over)
+        return titles, title_of, routes
+
+    def _copy_media(self, gid: int, shard_id: int) -> MediaObject:
+        """The catalog entry of an object's copy on one shard."""
+        server = self._shard_by_id[shard_id].server
+        return server.catalog.get(self._local_id_on(gid, shard_id))
 
     def _check_shard_ops_quiescent(
         self, skip: Optional[set[int]] = None
@@ -1604,6 +1789,18 @@ class ClusterCoordinator:
             f"shards={self.num_shards}, objects={self.num_objects}, "
             f"blocks={self.total_blocks})"
         )
+
+
+_stream_id = attrgetter("stream_id")
+
+
+def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Small non-negative ints grouped without a sort: the distinct
+    values, ascending, and each value's index among them."""
+    present = np.flatnonzero(np.bincount(values))
+    index = np.zeros(present[-1] + 1 if len(present) else 0, dtype=np.int64)
+    index[present] = np.arange(len(present))
+    return present, index[values]
 
 
 def _domain_label(shard_id: int, num_domains: Optional[int]) -> str:

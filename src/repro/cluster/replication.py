@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.cluster.health import ShardHealth
 from repro.cluster.popularity import DemandTracker, ReplicationPolicy
 from repro.server.ingest import IngestSession
 
@@ -265,8 +264,9 @@ class ClusterReplicationManager:
         """Remove one replica copy from the record (and, when the shard
         is live and ``lost`` is False, from its catalog).
 
-        Streams served from the dropped copy are re-homed through the
-        failover router first, so eviction never kills a playback.
+        Streams served from the dropped copy move to the other copies
+        (the coordinator's ``_rehome``: one route per title, table rows
+        moved in bulk), so eviction never kills a playback.
         Dropping a copy that was never recorded (e.g. a double drop) is
         a :class:`ReplicationError`, not a bare ``KeyError``.
         """
@@ -284,9 +284,8 @@ class ClusterReplicationManager:
             del self.c._replica_home[gid]
         shard = self.c._shard_by_id.get(shard_id)
         if shard is not None and not lost and self.c.health.is_live(shard_id):
-            rehomed = self.c._capture_streams(shard, local)
             shard.server.remove_object(local)
-            self.c._readmit_streams(rehomed)
+            self.c._rehome_copy(shard, local)
         if lost:
             self.copies_lost += 1
         else:

@@ -179,9 +179,9 @@ def _measured_rounds(
                     continue
                 _, count = stream.demand_window()
                 requested[gid] = requested.get(gid, 0) + count
-        for stream_id in sorted(coordinator._stranded):
-            gid = stream_gid.get(stream_id)
-            _, count = coordinator._stranded[stream_id].demand_window()
+        for stream in coordinator._stranded.handles():
+            gid = stream_gid.get(stream.stream_id)
+            _, count = stream.demand_window()
             if gid is not None and count:
                 requested[gid] = requested.get(gid, 0) + count
                 hiccups[gid] = hiccups.get(gid, 0) + count

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from repro.storage.array import DiskArray
 
 
@@ -40,12 +42,53 @@ class AdmissionPolicy(ABC):
         active streams.
         """
 
+    def admits_in_turn(
+        self,
+        array: DiskArray,
+        active_demand: int,
+        rates: np.ndarray,
+        playing: np.ndarray,
+    ) -> int:
+        """How many of a queue of streams are admitted one after another
+        before the first refusal.
+
+        Stream ``i`` (rate ``rates[i]``) is asked :meth:`admits` at the
+        active demand plus the rates of the *playing* streams admitted
+        before it (``playing[i]`` says whether it adds its rate), just
+        as admitting them one at a time would ask.  This default asks
+        once per stream; threshold policies answer with one cumulative
+        sum.
+        """
+        demand = active_demand
+        for admitted, (rate, plays) in enumerate(
+            zip(rates.tolist(), playing.tolist())
+        ):
+            if not self.admits(array, demand, rate):
+                return admitted
+            if plays:
+                demand += rate
+        return len(rates)
+
+
+def _admitted_under(
+    budget: float, active_demand: int, rates: np.ndarray, playing: np.ndarray
+) -> int:
+    """:meth:`AdmissionPolicy.admits_in_turn` for a policy admitting
+    while demand plus the new rate stays within ``budget``."""
+    added = rates * playing
+    asked = np.cumsum(added) - added + (active_demand + rates)
+    refused = np.flatnonzero(asked > budget)
+    return int(refused[0]) if refused.shape[0] else len(rates)
+
 
 class AggregateAdmission(AdmissionPolicy):
     """Admit while total demand fits total bandwidth."""
 
     def admits(self, array: DiskArray, active_demand: int, new_rate: int) -> bool:
         return active_demand + new_rate <= array.total_bandwidth
+
+    def admits_in_turn(self, array, active_demand, rates, playing) -> int:
+        return _admitted_under(array.total_bandwidth, active_demand, rates, playing)
 
 
 class UtilizationAdmission(AdmissionPolicy):
@@ -66,6 +109,11 @@ class UtilizationAdmission(AdmissionPolicy):
     def admits(self, array: DiskArray, active_demand: int, new_rate: int) -> bool:
         budget = self.threshold * array.total_bandwidth
         return active_demand + new_rate <= budget
+
+    def admits_in_turn(self, array, active_demand, rates, playing) -> int:
+        return _admitted_under(
+            self.threshold * array.total_bandwidth, active_demand, rates, playing
+        )
 
 
 class StatisticalAdmission(AdmissionPolicy):

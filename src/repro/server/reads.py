@@ -33,7 +33,6 @@ from repro.server.faults import (
     OUTCOME_DEAD,
     OUTCOME_OK,
     OUTCOME_SLOW,
-    OUTCOME_TRANSIENT,
     FaultInjector,
     MirrorDegenerateError,
     MirroredPlacement,

@@ -14,20 +14,25 @@ state mask plus, unless every demanding row wants one block, a
 ``repeat``/``cumsum`` expansion to per-request arrays, and
 :meth:`StreamTable.deliver` advances every row with one ``np.minimum``
 and one add.  The table keeps the admission-control demand total
-itself, because it owns every state change.
+itself, because it owns every state change.  :meth:`StreamTable.move`
+hands rows to another table in bulk (one take per column), which is
+how a cluster moves a dead or migrating shard's viewers.
 
 :class:`Stream` stays the public handle.  While admitted it is a view
 on its table row (reads and writes go to the columns); before admission
 it holds its own values, and after departure it keeps its last
 position and state (read from the row it left until the handle is
-written or admitted again, then from its own slots).  Its methods are
-the per-stream reference semantics the scalar scheduler loop runs on.
+written or admitted again, then from its own slots).  A bulk move
+re-points it at its new row, so it stays valid.  Its methods are the
+per-stream reference semantics the scalar scheduler loop runs on.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -54,7 +59,7 @@ _DONE_STATE = StreamState.DONE
 #: marks the row of a departed stream until the table compacts.
 _STATES = (_PLAYING_STATE, _PAUSED_STATE, _DONE_STATE)
 _CODE = {state: code for code, state in enumerate(_STATES)}
-_PLAYING, _DONE = _CODE[_PLAYING_STATE], _CODE[_DONE_STATE]
+_PLAYING, _PAUSED, _DONE = (_CODE[state] for state in _STATES)
 _VACANT = len(_STATES)
 
 
@@ -251,12 +256,22 @@ class Stream:
         )
 
 
-#: The table's columns (one numpy array each; growth and compaction
-#: move them together).
-_COLUMNS = (
-    "object_id", "position", "rate", "length",
-    "state", "stall_rounds", "blocks_consumed",
-)
+#: The table's columns and their dtypes (one numpy array each;
+#: growth, compaction and bulk moves move them together).
+_COLUMNS = {
+    "object_id": np.int64,
+    "position": np.int64,
+    "rate": np.int64,
+    "length": np.int64,
+    "state": np.int8,
+    "stall_rounds": np.int64,
+    "blocks_consumed": np.int64,
+}
+
+_stream_id = attrgetter("stream_id")
+_object_id = attrgetter("object_id")
+_rate = attrgetter("blocks_per_round")
+_length = attrgetter("num_blocks")
 
 
 class StreamTable:
@@ -265,9 +280,11 @@ class StreamTable:
     Row ``r`` of every column describes one stream; rows stay in
     admission order.  :meth:`append` adds a row (amortized O(1): the
     columns double when full); :meth:`remove` marks the row vacant and
-    detaches the handle.  Once vacant rows outnumber live ones the table
-    compacts, keeping the live rows' order, so m admissions and
-    departures copy O(m) rows in all (:attr:`rows_copied` counts them).
+    detaches the handle; :meth:`move` hands many rows to another table
+    at once.  Once vacant rows outnumber live ones the table compacts
+    (on a departure, or :meth:`compact_if_due` after moves), keeping the
+    live rows' order, so m admissions, departures and moved rows copy
+    O(m) rows in all (:attr:`rows_copied` counts them).
 
     The table owns every state change, so it keeps
     :attr:`active_demand` — the playing rows' summed rate — exact by
@@ -278,14 +295,16 @@ class StreamTable:
     MIN_COMPACT = 16
 
     def __init__(self) -> None:
-        capacity = 16
-        self.object_id = np.zeros(capacity, dtype=np.int64)
-        self.position = np.zeros(capacity, dtype=np.int64)
-        self.rate = np.zeros(capacity, dtype=np.int64)
-        self.length = np.zeros(capacity, dtype=np.int64)
-        self.state = np.zeros(capacity, dtype=np.int8)
-        self.stall_rounds = np.zeros(capacity, dtype=np.int64)
-        self.blocks_consumed = np.zeros(capacity, dtype=np.int64)
+        self._empty()
+        #: Rows copied by growth, compaction and bulk moves into this
+        #: table (a complexity counter).
+        self.rows_copied = 0
+
+    def _empty(self) -> None:
+        """Start over with no rows, in fresh columns (departed handles
+        keep reading the old ones)."""
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.zeros(16, dtype=dtype))
         #: What departed rows' handles read (see :class:`_Departed`).
         self._departed = _Departed(self)
         #: Row -> admitted handle (None for a vacant row).
@@ -294,8 +313,6 @@ class StreamTable:
         self._vacant = 0
         #: Summed rate of the playing rows (blocks/round).
         self.active_demand = 0
-        #: Rows copied by growth and compaction (a complexity counter).
-        self.rows_copied = 0
 
     # -- rows -----------------------------------------------------------
     @property
@@ -322,11 +339,20 @@ class StreamTable:
 
     def streams_of(self, object_id: int) -> list[Stream]:
         """The admitted streams playing ``object_id``, in row order."""
+        return self.handles_at(self.live_rows(object_id))
+
+    def live_rows(self, object_id: Optional[int] = None) -> np.ndarray:
+        """The admitted streams' rows, ascending (only those playing
+        ``object_id`` when given)."""
         n = self.rows
-        rows = np.flatnonzero(
-            (self.object_id[:n] == object_id) & (self.state[:n] != _VACANT)
-        )
-        return [self.handle(row) for row in rows.tolist()]
+        live = self.state[:n] != _VACANT
+        if object_id is not None:
+            live &= self.object_id[:n] == object_id
+        return np.flatnonzero(live)
+
+    def handles_at(self, rows: np.ndarray) -> list[Stream]:
+        """The streams admitted at ``rows`` (live rows), in order."""
+        return list(map(self._handles.__getitem__, rows.tolist()))
 
     def active_count(self) -> int:
         """Rows in the playing state."""
@@ -399,6 +425,13 @@ class StreamTable:
             self._compact()
         return stream
 
+    def compact_if_due(self) -> None:
+        """Compact when vacant rows are due, as :meth:`remove` does (for
+        the rows :meth:`move` leaves behind)."""
+        vacant = self._vacant
+        if vacant >= self.MIN_COMPACT and vacant > len(self._by_id):
+            self._compact()
+
     def set_state(self, row: int, code: int) -> None:
         """Set one row's state code, keeping :attr:`active_demand`."""
         old = self.state.item(row)
@@ -409,6 +442,130 @@ class StreamTable:
         elif code == _PLAYING:
             self.active_demand += self.rate.item(row)
         self.state[row] = code
+
+    # -- bulk moves -----------------------------------------------------
+    def handoff(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For live rows: whether each stream has played to its end, and
+        whether it plays once moved (it is not paused) — what a move to
+        another copy decides on."""
+        finished = self.position.take(rows) >= self.length.take(rows)
+        return finished, self.state.take(rows) != _PAUSED
+
+    def move(
+        self,
+        rows: np.ndarray,
+        dests: Sequence["StreamTable"],
+        dest_of: Optional[np.ndarray] = None,
+        media: Optional[Sequence[MediaObject]] = None,
+        media_of: Optional[np.ndarray] = None,
+    ) -> None:
+        """Move the streams at ``rows`` (distinct live rows) to other
+        tables: the stream at ``rows[i]`` to the end of
+        ``dests[dest_of[i]]`` (``dests[0]`` when ``dest_of`` is None),
+        keeping their order.  One take per column per destination, then
+        one pass re-pointing each handle at its new row, so a handle
+        stays valid across the move.
+
+        With ``media`` (catalog entries, the stream at ``rows[i]``
+        taking ``media[media_of[i]]``) each row is a re-admission on
+        another copy, the row a fresh :class:`Stream` at the same
+        position would append: the entry's object id, rate and length,
+        ``stall_rounds`` and ``blocks_consumed`` at 0, and playing
+        unless paused; the handle takes the entry.  Without it the rows
+        move as they are.  Each destination counts the rows it takes in
+        :attr:`rows_copied`.  The rows left behind go vacant as after
+        departures, without compacting (so this table's other row
+        numbers stay valid for a second move): call
+        :meth:`compact_if_due` after the last one.  A table left with no
+        streams starts over.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        count = rows.shape[0]
+        if not count:
+            return
+        n = self.rows
+        if (
+            rows.min() < 0
+            or rows.max() >= n
+            or (self.state.take(rows) == _VACANT).any()
+            or np.count_nonzero(np.bincount(rows, minlength=n)) != count
+        ):
+            raise ValueError("only distinct live rows can move")
+        if any(dest is self for dest in dests):
+            raise ValueError("a table cannot move rows to itself")
+        dest_of = (
+            np.zeros(count, dtype=np.int64)
+            if dest_of is None
+            else np.asarray(dest_of, dtype=np.int64)
+        )
+        if media is not None:
+            which = np.asarray(media_of, dtype=np.int64)
+            entries = {
+                column: np.fromiter(map(field, media), dtype=np.int64)
+                for column, field in (
+                    ("object_id", _object_id),
+                    ("rate", _rate),
+                    ("length", _length),
+                )
+            }
+        handles = self._handles
+        groups = []
+        for d, dest in enumerate(dests):
+            picked = np.flatnonzero(dest_of == d)
+            taken = rows.take(picked)
+            streams = list(map(handles.__getitem__, taken.tolist()))
+            dest_ids = list(map(_stream_id, streams))
+            if not dest._by_id.keys().isdisjoint(dest_ids):
+                raise ValueError("a moved stream id is already in its destination")
+            if streams:
+                groups.append((dest, picked, taken, streams, dest_ids))
+        for dest, picked, taken, streams, dest_ids in groups:
+            start = dest.rows
+            end = start + picked.shape[0]
+            capacity = dest.state.shape[0]
+            if end > capacity:
+                while capacity < end:
+                    capacity *= 2
+                dest._resize(capacity)
+            for name in _COLUMNS:
+                getattr(dest, name)[start:end] = getattr(self, name).take(taken)
+            state = dest.state[start:end]
+            if media is not None:
+                copy_of = which.take(picked)
+                for column, values in entries.items():
+                    getattr(dest, column)[start:end] = values.take(copy_of)
+                state[state != _PAUSED] = _PLAYING
+                dest.stall_rounds[start:end] = 0
+                dest.blocks_consumed[start:end] = 0
+            dest.active_demand += int(dest.rate[start:end][state == _PLAYING].sum())
+            dest._handles.extend(streams)
+            dest._by_id.update(zip(dest_ids, streams))
+            if media is None:
+                for row, stream in enumerate(streams, start):
+                    stream._table = dest
+                    stream._row = row
+            else:
+                for row, stream, k in zip(
+                    range(start, end), streams, copy_of.tolist()
+                ):
+                    stream._table = dest
+                    stream._row = row
+                    stream.media = media[k]
+            dest.rows_copied += end - start
+
+        by_id = self._by_id
+        if count == len(by_id):
+            self._empty()
+            return
+        playing = self.state.take(rows) == _PLAYING
+        self.active_demand -= int(self.rate.take(rows)[playing].sum())
+        self.state[rows] = _VACANT
+        for row in rows.tolist():
+            handles[row] = None
+        for *_, dest_ids in groups:
+            for stream_id in dest_ids:
+                del by_id[stream_id]
+        self._vacant += count
 
     # -- rounds ---------------------------------------------------------
     def window_counts(self) -> np.ndarray:

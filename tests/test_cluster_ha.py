@@ -32,6 +32,7 @@ from repro.cluster import (
     FailoverConfig,
     ObjectUnavailableError,
     ReplicationError,
+    ShardDeathReport,
     ShardHealth,
     check_cluster,
     merged_deterministic_view,
@@ -40,7 +41,7 @@ from repro.cluster.health import ClusterHealthMonitor
 from repro.core.operations import ScalingOp
 from repro.server.cmserver import OperationInFlightError
 from repro.server.health import HealthTransitionError
-from repro.server.streams import StreamState
+from repro.server.streams import Stream, StreamState
 from repro.storage.disk import DiskSpec
 
 SPEC = DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=8)
@@ -84,9 +85,10 @@ def assert_viewer_index_agrees(coordinator):
         ):
             for stream in shard.scheduler.streams:
                 serving[stream.stream_id] = stream
+    stranded = {s.stream_id: s for s in coordinator._stranded.handles()}
     for viewers in coordinator._viewers.values():
         for stream_id, handle in viewers.items():
-            expected = serving.get(stream_id, coordinator._stranded.get(stream_id))
+            expected = serving.get(stream_id, stranded.get(stream_id))
             assert handle is expected, stream_id
 
 
@@ -477,6 +479,75 @@ class TestShardDeath:
             + round_report.hiccups
             + round_report.queued
         )
+
+    def test_report_counts_only_moved_viewers_as_failed_over(self):
+        # A stream admitted straight into the scheduler has no title the
+        # coordinator can route: the death drops it and says so, and a
+        # finished viewer departs; neither counts as failed over.
+        coordinator = build_ha_cluster()
+        gid = 0
+        home = coordinator.shard_of(gid)
+        shard = coordinator.shard(home)
+        moved = coordinator.admit_stream(1, gid, start_block=3)
+        done = coordinator.admit_stream(2, gid, start_block=39)
+        direct = Stream(3, shard.server.catalog.get(coordinator.local_id_of(gid)))
+        shard.scheduler.admit(direct)
+        coordinator.run_round()
+        assert done.state is StreamState.DONE
+        report = coordinator.kill_shard(home)
+        assert report == ShardDeathReport(
+            home,
+            streams_failed_over=1,
+            streams_stranded=0,
+            streams_finished=1,
+            streams_dropped=1,
+        )
+        assert set(coordinator._streams) == {1}
+        assert not len(shard.scheduler.table)
+        # The moved viewer's handle stays the live one, at its position.
+        replica = coordinator.replicas_of(gid)[0]
+        assert stream_on(coordinator.shard(replica), 1) is moved
+        assert moved.position == 4
+        assert direct._table is None and direct.position == 1
+        assert_viewer_index_agrees(coordinator)
+
+    def test_unavailable_route_strands_the_titles_whole_audience(self):
+        # With a fault injector attached, a title's viewers share one
+        # route draw at a death.  When that route finds no copy, the
+        # whole audience strands, and it stays stranded after reads of
+        # the title succeed again: nothing moves a stranded row back,
+        # so each viewer stays until it departs (or the title is lost).
+        injector = ClusterFaultInjector(master_seed=3)
+        coordinator = build_ha_cluster(fault_injector=injector)
+        gid = 0
+        home = coordinator.shard_of(gid)
+        audience = [coordinator.admit_stream(sid, gid) for sid in range(5)]
+        routed = []
+        route_read = coordinator.route_read
+
+        def counted(object_id, round_index=None):
+            routed.append(object_id)
+            return route_read(object_id, round_index)
+
+        coordinator.route_read = counted
+        injector.read_error_rate = 1.0
+        report = coordinator.kill_shard(home)
+        assert routed == [gid]
+        assert report.streams_stranded == len(audience)
+        assert report.streams_failed_over == 0
+
+        injector.read_error_rate = 0.0
+        reports = coordinator.run_rounds(12)
+        assert coordinator.route_read(gid).shard_id != home
+        assert all(r.stranded == len(audience) for r in reports)
+        assert [s.stream_id for s in coordinator._stranded.handles()] == [
+            s.stream_id for s in audience
+        ]
+        assert all(s._table is coordinator._stranded for s in audience)
+        coordinator.depart_stream(audience[0].stream_id)
+        assert len(coordinator._stranded) == len(audience) - 1
+        assert coordinator.run_round().stranded == len(audience) - 1
+        assert_viewer_index_agrees(coordinator)
 
     def test_kill_rejects_already_dead(self):
         coordinator = build_ha_cluster()

@@ -4,7 +4,7 @@ to the scalar reference loop.
 The scalar paths in :mod:`repro.server.scheduler` are the semantic
 oracle; these property tests pin the vectorized planner against them
 over randomized stream sets, backends, fault schedules, disk health
-states, and protection schemes — comparing :class:`RoundReport`
+states, protection schemes and rows moved in bulk — comparing :class:`RoundReport`
 sequences, the per-stream hiccup ledger, the planner's cumulative
 :class:`ReadStats`, final stream states, and the seeded obs event
 sequence (``deterministic_view``).
@@ -16,6 +16,7 @@ comparisons normalize dict keys to logical indices first.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from repro.server.cmserver import CMServer
 from repro.server.faults import FaultInjector
 from repro.server.reads import build_degraded_stack
 from repro.server.scheduler import RoundScheduler
-from repro.server.streams import Stream
+from repro.server.streams import Stream, StreamTable
 from repro.storage.disk import DiskSpec
 from repro.workloads.generator import uniform_catalog
 
@@ -395,6 +396,20 @@ def run_churn(scenario, vectorized):
                 normalized_report(scheduler.run_round(), server.array)
             )
             continue
+        if op == "move":
+            # Every other live row leaves in bulk and comes back, in
+            # bulk, re-admitted on its own copy at the table's end.
+            table = scheduler.table
+            side = StreamTable()
+            table.move(table.live_rows()[pick % 2::2], [side])
+            back = side.live_rows()
+            side.move(
+                back, [table], None,
+                [stream.media for stream in side.handles_at(back)],
+                np.arange(len(back)),
+            )
+            trace.append(scheduler.active_demand)
+            continue
         live = [s.stream_id for s in scheduler.streams]
         if not live:
             continue
@@ -439,3 +454,37 @@ class TestChurnParity:
         assert scalar == vectorized
         # Rows keep admission order: the live ids ascend.
         assert vectorized[3] == sorted(vectorized[3])
+
+
+@st.composite
+def move_scenarios(draw):
+    """A churn workload with bulk moves spliced into its operations."""
+    scenario = draw(churn_scenarios())
+    ops = list(scenario["ops"])
+    for at, pick in draw(
+        st.lists(
+            st.tuples(st.integers(0, len(ops)), st.integers(0, 2**16)),
+            min_size=1,
+            max_size=4,
+        )
+    ):
+        ops.insert(at, ("move", pick))
+    scenario["ops"] = ops
+    return scenario
+
+
+class TestBulkMoveParity:
+    """Rows moved out of a scheduler's table and back in bulk (the
+    handoff a cluster failover or migration makes): served counts,
+    settle order on over-subscribed disks and the hiccup ledger equal
+    the scalar oracle's, and every handle ends with the same values."""
+
+    @given(scenario=move_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_moved_rows_match_scalar(self, scenario):
+        from unittest import mock
+
+        with mock.patch.object(StreamTable, "MIN_COMPACT", 2):
+            scalar = run_churn(scenario, vectorized=False)
+            vectorized = run_churn(scenario, vectorized=True)
+        assert scalar == vectorized

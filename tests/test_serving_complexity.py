@@ -12,7 +12,10 @@ health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  A
 cluster round's demand feed queues one entry per title, the same at n
 and 4n viewers.  The table's own bookkeeping is amortized O(1): m
 admissions, departures and seeks copy O(m) rows in all, however the
-departures interleave.
+departures interleave.  Moving viewers off a dead shard or with a
+migrating title routes once per title (the same count at n and 4n
+viewers), builds no ``Stream``, admits and departs nothing through a
+scheduler, and copies O(viewers) rows.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pytest
 from repro.cluster import ClusterCoordinator, ReplicationPolicy
 from repro.cluster.health import ClusterHealthMonitor
 from repro.cluster.popularity import DemandTracker
+from repro.core.operations import ScalingOp
 from repro.server.cmserver import CMServer
 from repro.server.objects import ObjectCatalog
 from repro.server.reads import build_degraded_stack
@@ -308,3 +312,112 @@ class TestTableBookkeeping:
             # copies fewer rows than the departures since the last one.
             assert table.rows_copied <= 2 * ops, (ops, table.rows_copied)
             assert table.rows <= 2 * len(table) + StreamTable.MIN_COMPACT
+
+
+@pytest.fixture
+def handoff(monkeypatch):
+    """Counts the per-viewer work a handoff could do: routes, fresh
+    handles, and scheduler admissions and departures."""
+    counts: Counter = Counter()
+    for owner, name in (
+        (ClusterCoordinator, "route_read"),
+        (Stream, "__init__"),
+        (RoundScheduler, "admit"),
+        (RoundScheduler, "depart"),
+    ):
+        monkeypatch.setattr(
+            owner, name, counting(counts, name, getattr(owner, name))
+        )
+    return counts
+
+
+class TestBulkHandoff:
+    TITLES = 8
+
+    def cluster(self, viewers: int) -> ClusterCoordinator:
+        coordinator = ClusterCoordinator.create(
+            4, 2,
+            DiskSpec(capacity_blocks=50_000,
+                     bandwidth_blocks_per_round=viewers),
+            bits=32, master_seed=0xC0DE, replication_factor=2,
+            router_backend="consistent_hash",
+        )
+        for i in range(self.TITLES):
+            coordinator.add_object(f"title-{i}", 40)
+        for sid in range(viewers):
+            coordinator.admit_stream(
+                sid, sid % self.TITLES, start_block=sid % 30
+            )
+        coordinator.run_round()
+        return coordinator
+
+    @staticmethod
+    def rows_copied(coordinator) -> int:
+        return coordinator._stranded.rows_copied + sum(
+            shard.scheduler.table.rows_copied
+            for shard in coordinator._shard_by_id.values()
+            if shard._scheduler is not None
+        )
+
+    def test_kill_shard(self, handoff):
+        routes = []
+        for viewers in SIZES:
+            coordinator = self.cluster(viewers)
+            victim = coordinator.shard_of(0)
+            table = coordinator.shard(victim).scheduler.table
+            moving = len(table)
+            titles = len(set(table.object_id[: table.rows].tolist()))
+            copied = self.rows_copied(coordinator)
+            handoff.clear()
+            report = coordinator.kill_shard(victim)
+            copied = self.rows_copied(coordinator) - copied
+            assert report.streams_failed_over == moving > 0
+            assert handoff["route_read"] == titles, viewers
+            assert handoff["__init__"] == 0, viewers
+            assert handoff["admit"] == handoff["depart"] == 0, viewers
+            # Each moved row once, plus at most one doubling of each
+            # target's columns.
+            assert moving <= copied <= moving + viewers, (viewers, copied)
+            routes.append(handoff["route_read"])
+        assert routes[0] == routes[1]
+
+    def test_one_migration(self, handoff):
+        for viewers in SIZES:
+            coordinator = self.cluster(viewers)
+            pending = coordinator.begin_reshard(ScalingOp.add(1))
+            move = pending.next_move()
+            source = coordinator.shard(move.source_shard).scheduler.table
+            moving = len(
+                source.streams_of(coordinator.local_id_of(move.object_id))
+            )
+            copied = self.rows_copied(coordinator)
+            handoff.clear()
+            coordinator.migrate_next(pending)
+            copied = self.rows_copied(coordinator) - copied
+            target = coordinator.shard(move.target_shard).scheduler.table
+            assert len(target) == moving > 0
+            assert handoff["route_read"] == 1, viewers
+            assert handoff["__init__"] == 0, viewers
+            assert handoff["admit"] == handoff["depart"] == 0, viewers
+            assert moving <= copied <= moving + viewers, (viewers, copied)
+
+    def test_live_source_compacts_after_a_move(self):
+        # A migrating title's viewers leave vacant rows on a live source
+        # that no departure compacts; the handoff compacts them when
+        # due, so the source keeps rows <= 2 * live + MIN_COMPACT.
+        coordinator = self.cluster(self.TITLES)
+        pending = coordinator.begin_reshard(ScalingOp.add(1))
+        stream_id = self.TITLES
+        left = []
+        while (move := pending.next_move()) is not None:
+            # Paused, so admission control takes all of them.
+            for _ in range(2 * StreamTable.MIN_COMPACT):
+                coordinator.admit_stream(stream_id, move.object_id).pause()
+                stream_id += 1
+            coordinator.migrate_next(pending)
+            source = coordinator.shard(move.source_shard).scheduler.table
+            assert source.rows <= 2 * len(source) + StreamTable.MIN_COMPACT
+            left.append(len(source))
+        # Some source kept viewers of another title, so the bound held
+        # over a table the move did not empty.
+        assert any(left)
