@@ -1,7 +1,8 @@
-"""Cluster-scale throughput: two-level routing, rebalance cost, serving.
+"""Cluster-scale throughput: two-level routing, rebalance cost, serving,
+restore.
 
-Three sections, each with a hard floor, persisted to
-``BENCH_cluster.json`` at the repo root:
+Four sections, persisted to ``BENCH_cluster.json`` at the repo root
+(the first three each with a hard floor):
 
 * **routing** — route 1M objects across >=16 shards through the
   vectorized second-level router (``jump_hash``) and measure lookups/sec
@@ -17,8 +18,16 @@ Three sections, each with a hard floor, persisted to
   bookkeeping).  Both sides serve ``window_s`` of round time, long
   enough to be steady, in alternating slices so that both see the same
   machine load; a stream that finishes restarts from block 0 between
-  rounds, outside the timed calls, so every round serves the full load.
-  Every rate is wall-clock time measured in this one process.
+  rounds, outside the timed calls, so every round serves the full load;
+* **restore** — snapshot/restore of that serving cluster: the median of
+  ``RESTORE_REPEATS`` runs each of the manifest write
+  (``snapshot_cluster``, JSON encoding and the file write), the restore
+  (reading and parsing the file, ``restore_cluster``) and a clean
+  ``check_cluster``, with the blocks restored and the restore's cost per
+  block.  No floor: ``tests/test_inventory_complexity.py`` gates its
+  complexity by counts.
+
+Every rate is wall-clock time measured in this one process.
 
 Usage::
 
@@ -30,13 +39,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.fsck import check_cluster
+from repro.cluster.persistence import restore_cluster, snapshot_cluster
 from repro.cluster.router import ShardRouter
 from repro.cluster.shard import ShardNode
 from repro.core.operations import ScalingOp
@@ -47,6 +60,8 @@ from benchenv import environment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0xC1B5
+#: Runs of each step of the restore section (the median is kept).
+RESTORE_REPEATS = 5
 
 #: Full sizing: the ISSUE targets (1M objects, >=16 shards).
 FULL = {
@@ -242,8 +257,9 @@ def cluster_shards(cfg: dict) -> tuple[_Serving, ClusterCoordinator]:
     return _Serving(coordinator.run_round, streams), coordinator
 
 
-def run_serving(cfg: dict) -> tuple[dict, dict]:
-    """Standalone and in-cluster serving over the same window."""
+def run_serving(cfg: dict) -> tuple[dict, dict, ClusterCoordinator]:
+    """Standalone and in-cluster serving over the same window; returns
+    the serving cluster too (the restore section snapshots it)."""
     solo = standalone_shard(cfg)
     cluster, coordinator = cluster_shards(cfg)
     serve_interleaved([solo, cluster], cfg["window_s"])
@@ -268,7 +284,39 @@ def run_serving(cfg: dict) -> tuple[dict, dict]:
         "reads_per_sec_measured": int(rate),
         "reads_per_sec_per_shard": int(rate),
     }
-    return standalone, in_cluster
+    return standalone, in_cluster, coordinator
+
+
+def run_restore(coordinator: ClusterCoordinator) -> dict:
+    """Manifest write, restore and audit of a cluster, median of
+    :data:`RESTORE_REPEATS` each."""
+    write, restore, audit = [], [], []
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "manifest.json"
+        for __ in range(RESTORE_REPEATS):
+            start = time.perf_counter()
+            text = json.dumps(snapshot_cluster(coordinator))
+            path.write_text(text, encoding="utf-8")
+            write.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            restored = restore_cluster(json.loads(path.read_text(encoding="utf-8")))
+            restore.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            report = check_cluster(restored)
+            audit.append(time.perf_counter() - start)
+            assert report.clean, "a restored cluster fails check_cluster"
+            restored.close()
+    blocks = coordinator.total_blocks
+    restore_s = statistics.median(restore)
+    return {
+        "repeats": RESTORE_REPEATS,
+        "blocks": blocks,
+        "manifest_bytes": len(text),
+        "write_s": round(statistics.median(write), 6),
+        "restore_s": round(restore_s, 6),
+        "check_s": round(statistics.median(audit), 6),
+        "restore_us_per_block": round(restore_s / blocks * 1e6, 4),
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -304,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             f"ratio {entry['ratio']:.2f}x)"
         )
 
-    standalone, cluster = run_serving(cfg)
+    standalone, cluster, coordinator = run_serving(cfg)
     efficiency = (
         cluster["reads_per_sec_per_shard"] / standalone["reads_per_sec"]
     )
@@ -312,6 +360,15 @@ def main(argv: list[str] | None = None) -> int:
         f"serving   : standalone {standalone['reads_per_sec']:,}/s, "
         f"in-cluster per shard {cluster['reads_per_sec_per_shard']:,}/s "
         f"(efficiency {efficiency:.2f}, floor {cfg['min_efficiency']:.2f})"
+    )
+
+    restore = run_restore(coordinator)
+    print(
+        f"restore   : {restore['blocks']:,} blocks, manifest write "
+        f"{restore['write_s'] * 1e3:.1f} ms, restore "
+        f"{restore['restore_s'] * 1e3:.1f} ms "
+        f"({restore['restore_us_per_block']:.2f} us/block), check_cluster "
+        f"{restore['check_s'] * 1e3:.1f} ms"
     )
 
     payload = {
@@ -324,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         "standalone": standalone,
         "cluster": cluster,
         "per_shard_efficiency": round(efficiency, 4),
+        "restore": restore,
     }
     args.output.write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8"

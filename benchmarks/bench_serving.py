@@ -20,12 +20,18 @@ the batched serve arithmetic alone versus the backend locate kernel.
 Every variant gets a fresh server and fresh identical streams, so no
 state leaks between timings.  One warm-up round runs untimed per
 variant (it also primes the backend locator's per-object X0 caches).
-Each variant is then timed over whole rounds until ``window_s`` of
-round time has passed (at least one round), long enough for the
-vectorized variants' millisecond rounds to be steady.  Only the
-``run_round`` calls are timed: a stream that finishes restarts from
-block 0 between rounds, so every timed round serves the whole stream
-population.
+Only the ``run_round`` calls are timed: a stream that finishes restarts
+from block 0 between rounds, so every timed round serves the whole
+stream population.
+
+Each scalar variant and its vectorized counterpart take turns, ``PASSES``
+passes each with the order alternating, so both see the same machine
+load: a pass is whole rounds until ``window_s / PASSES`` of round time
+has passed (at least one, so a scalar pass is one round).  The speedup
+is the median of the adjacent pairs' rate ratios, as in
+``bench_cluster_ha.py``: a slow moment lands on one pair, not on one
+variant.  The inventory-locator variant, which has no floor, is timed
+alone over ``window_s``.
 
 Results are persisted to ``BENCH_serving.json`` at the repo root.
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -56,6 +63,8 @@ from benchenv import environment
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 0xBE9C
 BITS = 64
+#: Timed passes per variant of a scalar/vectorized pair.
+PASSES = 5
 
 #: Full-size workload: 10k concurrent streams over 16 disks, 8 blocks
 #: per stream per round (80k reads/round, within per-disk bandwidth).
@@ -118,36 +127,67 @@ def admit_streams(scheduler: RoundScheduler, server: CMServer, cfg: dict) -> Non
         )
 
 
-def measure(scheduler: RoundScheduler, window_s: float) -> dict:
-    """Reads/sec over whole rounds until ``window_s`` of round time has
-    passed, at least one (after one untimed warm-up round).  Finished
-    streams restart from block 0 between the timed rounds."""
+def timed_rounds(scheduler: RoundScheduler, window_s: float) -> dict:
+    """Whole rounds until ``window_s`` of round time has passed, at
+    least one.  Finished streams restart from block 0 between rounds,
+    outside the timed calls."""
     streams = scheduler.streams
-    scheduler.run_round()
-    rounds = requested = served = hiccups = 0
+    counts = {"rounds": 0, "requested": 0, "served": 0, "hiccups": 0}
     seconds = 0.0
-    while rounds == 0 or seconds < window_s:
+    while counts["rounds"] == 0 or seconds < window_s:
         for stream in streams:
             if stream.state is StreamState.DONE:
                 stream.seek(0)
         start = time.perf_counter()
         report = scheduler.run_round()
         seconds += time.perf_counter() - start
-        rounds += 1
-        requested += report.requested
-        served += report.served
-        hiccups += report.hiccups
-    return {
-        "rounds": rounds,
-        "requested": requested,
-        "served": served,
-        "hiccups": hiccups,
-        "seconds": round(seconds, 4),
-        "reads_per_sec": round(requested / seconds),
+        counts["rounds"] += 1
+        counts["requested"] += report.requested
+        counts["served"] += report.served
+        counts["hiccups"] += report.hiccups
+    counts["seconds"] = seconds
+    return counts
+
+
+def summarize(passes: list[dict]) -> dict:
+    """One variant's totals over its timed passes."""
+    total = {
+        key: sum(p[key] for p in passes)
+        for key in ("rounds", "requested", "served", "hiccups", "seconds")
     }
+    total["reads_per_sec"] = round(total["requested"] / total["seconds"])
+    total["seconds"] = round(total["seconds"], 4)
+    return total
 
 
-def run_simple(cfg: dict, vectorized: bool, locator: str) -> dict:
+def measure(scheduler: RoundScheduler, window_s: float) -> dict:
+    """Reads/sec over whole rounds until ``window_s`` of round time has
+    passed, at least one (after one untimed warm-up round)."""
+    scheduler.run_round()
+    return summarize([timed_rounds(scheduler, window_s)])
+
+
+def measure_pair(
+    scalar: RoundScheduler, vectorized: RoundScheduler, cfg: dict
+) -> tuple[dict, dict, float]:
+    """The two variants take turns, :data:`PASSES` passes each with
+    the order alternating; returns each one's totals and the median of
+    the adjacent pairs' rate ratios (vectorized over scalar)."""
+    sides = (scalar, vectorized)
+    for scheduler in sides:
+        scheduler.run_round()  # warm-up
+    passes: tuple[list[dict], list[dict]] = ([], [])
+    for k in range(PASSES):
+        for i in (0, 1) if k % 2 == 0 else (1, 0):
+            passes[i].append(timed_rounds(sides[i], cfg["window_s"] / PASSES))
+    speedup = statistics.median(
+        (v["requested"] / v["seconds"]) / (s["requested"] / s["seconds"])
+        for s, v in zip(*passes)
+    )
+    return summarize(passes[0]), summarize(passes[1]), speedup
+
+
+def simple_scheduler(cfg: dict, vectorized: bool, locator: str) -> RoundScheduler:
     server = build_server(cfg)
     kwargs = {}
     if locator == "backend":
@@ -157,10 +197,10 @@ def run_simple(cfg: dict, vectorized: bool, locator: str) -> dict:
         }
     scheduler = RoundScheduler(server.array, vectorized=vectorized, **kwargs)
     admit_streams(scheduler, server, cfg)
-    return measure(scheduler, cfg["window_s"])
+    return scheduler
 
 
-def run_degraded(cfg: dict, vectorized: bool) -> dict:
+def degraded_stack(cfg: dict, vectorized: bool):
     server = build_server(cfg)
     stack = build_degraded_stack(
         server,
@@ -169,6 +209,12 @@ def run_degraded(cfg: dict, vectorized: bool) -> dict:
         locator="backend",
     )
     admit_streams(stack.scheduler, server, cfg)
+    return stack
+
+
+def run_degraded(cfg: dict, vectorized: bool) -> dict:
+    """One degraded-path variant timed alone over ``cfg["window_s"]``."""
+    stack = degraded_stack(cfg, vectorized)
     result = measure(stack.scheduler, cfg["window_s"])
     result["failovers"] = stack.planner.stats.failover_reads
     return result
@@ -195,26 +241,30 @@ def main(argv: list[str] | None = None) -> int:
         f"({cfg['streams'] * cfg['rate']} reads/round)"
     )
 
+    simple_scalar, simple_vectorized, simple_speedup = measure_pair(
+        simple_scheduler(cfg, vectorized=False, locator="backend"),
+        simple_scheduler(cfg, vectorized=True, locator="backend"),
+        cfg,
+    )
+    stacks = [degraded_stack(cfg, vectorized) for vectorized in (False, True)]
+    degraded_scalar, degraded_vectorized, degraded_speedup = measure_pair(
+        stacks[0].scheduler, stacks[1].scheduler, cfg
+    )
+    for result, stack in zip((degraded_scalar, degraded_vectorized), stacks):
+        result["failovers"] = stack.planner.stats.failover_reads
     results = {
-        "simple_scalar": run_simple(cfg, vectorized=False, locator="backend"),
-        "simple_vectorized_inventory": run_simple(
-            cfg, vectorized=True, locator="inventory"
+        "simple_scalar": simple_scalar,
+        "simple_vectorized_inventory": measure(
+            simple_scheduler(cfg, vectorized=True, locator="inventory"),
+            cfg["window_s"],
         ),
-        "simple_vectorized": run_simple(cfg, vectorized=True, locator="backend"),
-        "degraded_scalar": run_degraded(cfg, vectorized=False),
-        "degraded_vectorized": run_degraded(cfg, vectorized=True),
+        "simple_vectorized": simple_vectorized,
+        "degraded_scalar": degraded_scalar,
+        "degraded_vectorized": degraded_vectorized,
     }
     for name, result in results.items():
         print(f"{name:28s}: {result['reads_per_sec']:>12,} reads/s")
 
-    simple_speedup = (
-        results["simple_vectorized"]["reads_per_sec"]
-        / results["simple_scalar"]["reads_per_sec"]
-    )
-    degraded_speedup = (
-        results["degraded_vectorized"]["reads_per_sec"]
-        / results["degraded_scalar"]["reads_per_sec"]
-    )
     print(f"simple speedup   : {simple_speedup:.1f}x "
           f"(floor {cfg['min_simple_speedup']:.0f}x)")
     print(f"degraded speedup : {degraded_speedup:.1f}x "
@@ -225,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         "environment": environment(),
         "quick": args.quick,
         "config": cfg,
+        "passes": PASSES,
         "results": results,
         "simple_speedup": round(simple_speedup, 2),
         "degraded_speedup": round(degraded_speedup, 2),

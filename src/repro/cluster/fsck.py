@@ -133,9 +133,11 @@ def check_cluster(
         )
 
     slot_table = [shard.shard_id for shard in coordinator.shards]
-    for gid in sorted(coordinator._home):
+    gids = sorted(coordinator._home)
+    slots = coordinator.router.slots_of(gids).tolist() if gids else []
+    for gid, slot in zip(gids, slots):
         report.objects_checked += 1
-        expected = slot_table[coordinator.router.slot_of(gid)]
+        expected = slot_table[slot]
         actual = coordinator._home[gid]
         if expected == actual:
             continue

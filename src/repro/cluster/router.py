@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.operations import ScalingOp
 from repro.placement.backends import backend_from_payload, make_backend
 from repro.placement.base import PlacementPolicy
-from repro.prng.generators import _mix64
+from repro.prng.generators import _mix64, _mix64_batch
 from repro.storage.block import BlockId
 
 #: Default cluster salt mixed into every routing key.
@@ -44,8 +44,6 @@ def routing_key(object_id: int, salt: int = ROUTER_SALT) -> int:
 
 def routing_keys(object_ids: Sequence[int], salt: int = ROUTER_SALT) -> np.ndarray:
     """Vectorized :func:`routing_key` over a batch of object ids."""
-    from repro.placement.consistent_hash import _mix64_batch
-
     ids = np.asarray(object_ids, dtype=np.uint64)
     return _mix64_batch(ids ^ np.uint64(_mix64(salt & _MASK64)))
 

@@ -205,14 +205,15 @@ class PlacementPolicy(ABC):
     def plan_moves(
         self,
         op: ScalingOp,
-        block_ids: Sequence[BlockId],
+        block_ids: Optional[Sequence[BlockId]],
         x0s: np.ndarray,
         eps: Optional[float] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply ``op`` and report the blocks it relocates.
 
-        Returns ``(indices, targets)``: positions into ``block_ids`` of
-        the *candidate* movers and their post-operation logical disks.
+        Returns ``(indices, targets)``: positions into ``x0s`` of the
+        *candidate* movers and their post-operation logical disks.
+        ``block_ids`` may be ``None`` when :attr:`requires_ids` is False.
         Candidates may include blocks whose logical index changed only by
         removal re-compaction — the caller translates targets to physical
         disks and drops identity moves, so over-reporting is harmless

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.operations import ScalingOp
 from repro.core.remap import survivor_ranks
 from repro.placement.base import PlacementPolicy
-from repro.prng.generators import _mix64
+from repro.prng.generators import _mix64, _mix64_batch
 from repro.storage.block import Block, BlockId
 
 _NODE_SALT = 0xC0FFEE_15_600D
@@ -33,21 +33,6 @@ def _vnode_position(node_id: int, replica: int) -> int:
 def _key_position(x0: int) -> int:
     """Ring position of a block key."""
     return _mix64(x0 ^ _KEY_SALT)
-
-
-def _mix64_batch(values: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer, bit-identical to ``_mix64``.
-
-    Lives here rather than in :mod:`repro.prng.generators` so the scalar
-    reference module stays dependency-free.
-    """
-    z = np.asarray(values, dtype=np.uint64).copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 def _key_position_batch(x0s: np.ndarray) -> np.ndarray:

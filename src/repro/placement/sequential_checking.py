@@ -108,7 +108,7 @@ class SequentialCheckingPolicy(PlacementPolicy):
     def plan_moves(
         self,
         op: ScalingOp,
-        block_ids: Sequence[BlockId],
+        block_ids: Optional[Sequence[BlockId]],
         x0s: np.ndarray,
         eps: Optional[float] = None,
     ) -> tuple[np.ndarray, np.ndarray]:

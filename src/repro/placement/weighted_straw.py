@@ -29,8 +29,7 @@ import numpy as np
 from repro.core.operations import ScalingOp
 from repro.core.remap import survivor_ranks
 from repro.placement.base import PlacementPolicy, _restore_log
-from repro.placement.consistent_hash import _mix64_batch
-from repro.prng.generators import _mix64
+from repro.prng.generators import _mix64, _mix64_batch
 from repro.storage.block import Block, BlockId
 
 _STRAW_SALT = 0x57A3A_2

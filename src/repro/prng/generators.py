@@ -6,13 +6,19 @@ The paper's analysis treats the stream as ``b`` truly-random bits; these
 generators are the practical stand-ins (the paper itself assumes "a
 standard pseudo-random number generator").
 
-The implementations are deliberately dependency-free and exact-integer so
-the REMAP arithmetic built on top is bit-reproducible across platforms.
+The implementations are exact-integer so the REMAP arithmetic built on top
+is bit-reproducible across platforms.  :func:`_mix64_batch` and
+:meth:`SplitMix64.prefixes` are the numpy forms of the SplitMix64
+arithmetic, bit for bit: ``uint64`` arithmetic wraps mod ``2**64`` as the
+scalar mask does.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -25,6 +31,17 @@ def _mix64(z: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_batch(values: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over an array, bit-identical (``uint64`` out)."""
+    z = np.asarray(values, dtype=np.uint64).copy()
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class PseudoRandomGenerator(ABC):
@@ -110,6 +127,23 @@ class SplitMix64(PseudoRandomGenerator):
             raise ValueError(f"sequence index must be >= 0, got {i}")
         state = (self.seed + (i + 1) * SPLITMIX_GAMMA) & _MASK64
         return _mix64(state) & self._mask
+
+    @staticmethod
+    def prefixes(
+        seeds: Sequence[int], lengths: Sequence[int], bits: Sequence[int]
+    ) -> np.ndarray:
+        """Outputs ``0 .. lengths[k] - 1`` of the stream of ``seeds[k]``
+        at width ``bits[k]``, for every ``k``, back to back as one
+        ``uint64`` array: :meth:`at` over whole runs in one numpy pass."""
+        runs = np.asarray(lengths, dtype=np.int64)
+        # Output i of a run is i + 1 gamma steps past its (folded) seed.
+        steps = np.arange(1, int(runs.sum()) + 1, dtype=np.uint64)
+        steps -= np.repeat((np.cumsum(runs) - runs).astype(np.uint64), runs)
+        folded = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+        masks = np.array([(1 << b) - 1 for b in bits], dtype=np.uint64)
+        return _mix64_batch(
+            np.repeat(folded, runs) + steps * np.uint64(SPLITMIX_GAMMA)
+        ) & np.repeat(masks, runs)
 
 
 class Xorshift64Star(PseudoRandomGenerator):

@@ -8,7 +8,9 @@ iterated access and, where the family supports it, O(1) indexed access.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 from repro.prng.generators import (
     Lcg48,
@@ -107,3 +109,33 @@ class ObjectSequence:
             f"ObjectSequence(seed={self.seed}, bits={self.bits}, "
             f"family={self.family!r})"
         )
+
+
+def prefixes(
+    sequences: Sequence[ObjectSequence], lengths: Sequence[int]
+) -> np.ndarray:
+    """``sequences[k].prefix(lengths[k])`` for every ``k``, back to back
+    as one ``uint64`` array.
+
+    The counter-based splitmix64 sequences are computed together in one
+    numpy pass (:meth:`SplitMix64.prefixes`); the stateful families
+    iterate (:meth:`ObjectSequence.prefix`).
+    """
+    runs = np.asarray(lengths, dtype=np.int64)
+    out = np.empty(int(runs.sum()), dtype=np.uint64)
+    counter = np.array(
+        [seq.family == SplitMix64.family for seq in sequences], dtype=bool
+    )
+    if counter.any():
+        batch = [seq for seq in sequences if seq.family == SplitMix64.family]
+        out[np.repeat(counter, runs)] = SplitMix64.prefixes(
+            [seq.seed for seq in batch],
+            runs[counter],
+            [seq.bits for seq in batch],
+        )
+    start = 0
+    for seq, n in zip(sequences, runs.tolist()):
+        if seq.family != SplitMix64.family:
+            out[start : start + n] = seq.prefix(n)
+        start += n
+    return out

@@ -26,6 +26,7 @@ executed lazily by the online scaler (:mod:`repro.server.online`).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -39,7 +40,7 @@ from repro.core.scaddar import ScaddarMapper
 from repro.placement.backends import ScaddarBackend, make_backend
 from repro.placement.base import PlacementPolicy
 from repro.server.journal import LogicalMove, ReshuffleOp, ScalingJournal
-from repro.server.objects import MediaObject, ObjectCatalog
+from repro.server.objects import MediaObject, ObjectCatalog, x0_columns
 from repro.storage.array import DiskArray
 from repro.storage.block import Block, BlockId
 from repro.storage.disk import DiskSpec
@@ -205,12 +206,14 @@ class CMServer:
         self.backend.attach_obs(self.obs)
         if journal is not None:
             journal.attach_obs(self.obs)
-        self._x0: dict[BlockId, int] = {}
+        #: object id -> the object's ``X0`` column (``uint64``, one entry
+        #: per block index), kept from placement; a missing entry is
+        #: recomputed from the catalog by :meth:`x0_column`.
+        self.x0_cache: dict[int, np.ndarray] = {}
         self.reshuffles = 0
         self._in_flight: Union[PendingScale, PendingReshuffle, None] = None
         self.watchdog: Optional["ExhaustionWatchdog"] = None
-        for media in catalog:
-            self._load_blocks(media)
+        self._place_objects(list(catalog))
 
     @classmethod
     def from_backend(
@@ -242,12 +245,11 @@ class CMServer:
         server.default_spec = default_spec or current_specs[0]
         server.journal = None
         server.obs = NULL_OBS
-        server._x0 = {}
+        server.x0_cache = {}
         server.reshuffles = 0
         server._in_flight = None
         server.watchdog = None
-        for media in catalog:
-            server._load_blocks(media)
+        server._place_objects(list(catalog))
         return server
 
     @classmethod
@@ -335,19 +337,22 @@ class CMServer:
     ) -> MediaObject:
         """Register a new object and place all its blocks."""
         media = self.catalog.add_object(name, num_blocks, blocks_per_round)
-        self._load_blocks(media)
+        self._place_objects([media])
         return media
 
     def remove_object(self, object_id: int) -> None:
-        """Drop an object and free its blocks."""
+        """Drop an object and free its blocks.
+
+        Only resident blocks are dropped, so an object still being
+        ingested (:class:`~repro.server.ingest.IngestSession`) can be
+        removed; its session then refuses further writes.
+        """
         media = self.catalog.remove_object(object_id)
-        dropped = []
-        for index in range(media.num_blocks):
-            block_id = BlockId(object_id, index)
-            self.array.drop(block_id)
-            del self._x0[block_id]
-            dropped.append(block_id)
-        self.backend.unregister(dropped)
+        self.array.drop_object(object_id)
+        self.x0_cache.pop(object_id, None)
+        self.backend.unregister(
+            BlockId(object_id, index) for index in range(media.num_blocks)
+        )
 
     def block_location(self, object_id: int, index: int) -> int:
         """Physical disk of a block, computed (not looked up).
@@ -356,35 +361,32 @@ class CMServer:
         over the block's ``X0`` plus one logical->physical translation;
         the block inventory is never consulted.
         """
-        block_id = BlockId(object_id, index)
-        x0 = self._x0_of(object_id, index)
-        return self.array.physical_at(self.backend.locate_one(block_id, x0))
+        x0 = self.block_x0(object_id, index)
+        return self.array.physical_at(
+            self.backend.locate_one(BlockId(object_id, index), x0)
+        )
 
     def block_locations(self, object_id: int) -> list[int]:
         """Whole-object lookup: physical disk of every block, in index
         order, computed in one batched pass.
 
         This is the bulk retrieval path for the scheduler/streams layer
-        (a stream touches an object's blocks in playback order) and the
-        audit path (``fsck`` checks objects wholesale): one
+        (a stream touches an object's blocks in playback order): one
         :meth:`~repro.placement.base.PlacementPolicy.locate_batch` call
-        instead of ``num_blocks`` scalar chains.
+        instead of ``num_blocks`` scalar chains (:meth:`computed_homes`
+        for many objects at once).
         """
-        media = self.catalog.get(object_id)
-        x0s = np.fromiter(
-            (self._x0_of(object_id, index) for index in range(media.num_blocks)),
-            dtype=np.uint64,
-            count=media.num_blocks,
-        )
-        ids = (
-            [BlockId(object_id, index) for index in range(media.num_blocks)]
-            if self.backend.requires_ids
-            else None
-        )
-        table = self.array.physical_ids
+        return self.computed_homes([self.catalog.get(object_id)]).tolist()
+
+    def computed_homes(self, objects: list[MediaObject]) -> np.ndarray:
+        """Physical home of every block of ``objects``, objects back to
+        back (blocks by index), in one batched placement pass over their
+        ``X0`` columns — the audit's bulk path (``fsck``)."""
+        x0s = self._columns(objects)
+        ids = _object_ids(objects) if self.backend.requires_ids else None
+        table = np.asarray(self.array.physical_ids, dtype=np.int64)
         with self.obs.timer("backend.locate.seconds", backend=self.backend.name):
-            disks = self.backend.locate_batch(ids, x0s).tolist()
-        return [table[disk] for disk in disks]
+            return table[self.backend.locate_batch(ids, x0s)]
 
     def computed_locator(self) -> "Callable[[BlockId], int]":
         """A scalar ``BlockId -> physical`` locator that *computes*
@@ -432,7 +434,9 @@ class CMServer:
     def register_media(self, media: MediaObject) -> None:
         """Introduce an object's blocks to the backend without placing
         them (the incremental-ingest path writes them over rounds)."""
-        self.backend.register(media.blocks())
+        x0s = media.x0_column()
+        self.x0_cache[media.object_id] = x0s
+        self.backend.register(_blocks([media], x0s))
 
     def load_vector(self) -> list[int]:
         """Blocks per disk in logical order (the evaluation's raw data)."""
@@ -537,11 +541,11 @@ class CMServer:
             )
 
         rollback_payload = self.backend.state_payload()
-        block_ids = list(self._x0)
-        x0s = np.fromiter(
-            self._x0.values(), dtype=np.uint64, count=len(block_ids)
+        object_ids, block_indices, x0s, homes = self.resident_blocks()
+        ids = (
+            _ids(object_ids, block_indices) if self.backend.requires_ids else None
         )
-        indices, targets = self.backend.plan_moves(op, block_ids, x0s, eps=eps)
+        indices, targets = self.backend.plan_moves(op, ids, x0s, eps=eps)
 
         if op.kind == "add":
             self.array.add_group(group)
@@ -550,12 +554,10 @@ class CMServer:
             target_table = self.array.survivors_after_removal(op.removed)
 
         plan = plan_physical_moves(
-            self.array,
-            (
-                (block_ids[i], target)
-                for i, target in zip(indices.tolist(), targets.tolist())
-            ),
-            target_table,
+            object_ids[indices],
+            block_indices[indices],
+            homes[indices],
+            np.asarray(target_table, dtype=np.int64)[targets],
         )
         pending = PendingScale(
             op=op,
@@ -742,30 +744,20 @@ class CMServer:
         # policies, so catalog seeds are never touched on the error path.
         self.backend.reshuffle()
         self.catalog.reseed_all()
-        self._x0.clear()
-        blocks = [
-            block for media in self.catalog for block in media.blocks()
-        ]
-        self.backend.register(blocks)
-        x0s = np.fromiter(
-            (block.x0 for block in blocks), dtype=np.uint64, count=len(blocks)
-        )
+        objects = list(self.catalog)
+        columns = x0_columns(objects)
+        self._keep_columns(objects, columns)
+        self.backend.register(_blocks(objects, columns))
+        object_ids, block_indices, x0s, homes = self.resident_blocks()
         ids = (
-            [block.block_id for block in blocks]
-            if self.backend.requires_ids
-            else None
+            _ids(object_ids, block_indices) if self.backend.requires_ids else None
         )
-        disks = self.backend.locate_batch(ids, x0s).tolist()
-        for block in blocks:
-            self._x0[block.block_id] = block.x0
         table = list(self.array.physical_ids)
         plan = plan_physical_moves(
-            self.array,
-            (
-                (block.block_id, disk)
-                for block, disk in zip(blocks, disks)
-            ),
-            table,
+            object_ids,
+            block_indices,
+            homes,
+            np.asarray(table, dtype=np.int64)[self.backend.locate_batch(ids, x0s)],
         )
         pending = PendingReshuffle(
             epoch=self.reshuffles + 1,
@@ -824,39 +816,79 @@ class CMServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _load_blocks(self, media: MediaObject) -> None:
-        """Place a whole object with one batched placement pass."""
-        blocks = media.blocks()
-        self.backend.register(blocks)
-        x0s = np.fromiter(
-            (block.x0 for block in blocks), dtype=np.uint64, count=len(blocks)
+    def _place_objects(self, objects: list[MediaObject]) -> None:
+        """Place whole objects with one ``X0`` pass, one batched
+        placement pass and one bulk write to the array."""
+        if not objects:
+            return
+        x0s = x0_columns(objects)
+        self._keep_columns(objects, x0s)
+        self.backend.register(_blocks(objects, x0s))
+        ids = _object_ids(objects) if self.backend.requires_ids else None
+        self.array.place_objects(
+            [media.object_id for media in objects],
+            [media.num_blocks for media in objects],
+            x0s,
+            self.backend.locate_batch(ids, x0s),
         )
-        ids = (
-            [block.block_id for block in blocks]
-            if self.backend.requires_ids
-            else None
+
+    def _keep_columns(self, objects: list[MediaObject], x0s: np.ndarray) -> None:
+        """Keep each object's slice of ``x0s`` as its ``X0`` column."""
+        start = 0
+        for media in objects:
+            end = start + media.num_blocks
+            self.x0_cache[media.object_id] = x0s[start:end]
+            start = end
+
+    def _columns(self, objects: list[MediaObject]) -> np.ndarray:
+        """The ``X0`` columns of ``objects``, back to back."""
+        if not objects:
+            return np.empty(0, dtype=np.uint64)
+        return np.concatenate([self.x0_column(m.object_id) for m in objects])
+
+    def resident_blocks(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every resident block of a catalog object as columns — object
+        id, block index, ``X0`` and physical home — objects in catalog
+        order, blocks by index: the population a scaling or reshuffle
+        plan batches (O(objects) Python, O(blocks) array work)."""
+        objects = list(self.catalog)
+        lengths = [media.num_blocks for media in objects]
+        owners = np.array([media.object_id for media in objects], dtype=np.int64)
+        homes = self.array.home_columns(owners.tolist(), lengths)
+        resident = np.flatnonzero(homes >= 0)
+        starts = np.cumsum(lengths, dtype=np.int64) - lengths
+        return (
+            np.repeat(owners, lengths)[resident],
+            resident - np.repeat(starts, lengths)[resident],
+            self._columns(objects)[resident],
+            homes[resident],
         )
-        disks = self.backend.locate_batch(ids, x0s).tolist()
-        for block, disk in zip(blocks, disks):
-            self._x0[block.block_id] = block.x0
-            self.array.place(block, disk)
+
+    def x0_column(self, object_id: int) -> np.ndarray:
+        """An object's ``X0`` column (``uint64``, one entry per block
+        index), computed from the catalog's seeded sequence the first
+        time it is needed and kept in :attr:`x0_cache`."""
+        column = self.x0_cache.get(object_id)
+        if column is None:
+            column = self.catalog.get(object_id).x0_column()
+            self.x0_cache[object_id] = column
+        return column
 
     def block_x0(self, object_id: int, index: int) -> int:
         """A block's placement number ``X0`` (public read-path accessor).
 
         The degraded read planner computes mirror/parity locations from
-        it; cached placements are preferred, falling back to the
-        catalog's seeded sequence.
+        it; read from the object's ``X0`` column.
         """
-        return self._x0_of(object_id, index)
-
-    def _x0_of(self, object_id: int, index: int) -> int:
-        block_id = BlockId(object_id, index)
-        try:
-            return self._x0[block_id]
-        except KeyError:
-            # Not cached (e.g. after external churn): recompute from seed.
-            return self.catalog.get(object_id).block(index).x0
+        column = self.x0_column(object_id)
+        if not 0 <= index < column.shape[0]:
+            raise IndexError(
+                f"block {index} out of 0..{column.shape[0] - 1} "
+                f"for object {object_id}"
+            )
+        return column.item(index)
 
     def __repr__(self) -> str:
         return (
@@ -864,3 +896,31 @@ class CMServer:
             f"objects={len(self.catalog)}, blocks={self.total_blocks}, "
             f"operations={self.backend.num_operations})"
         )
+
+
+def _blocks(objects: list[MediaObject], x0s: np.ndarray) -> Iterator[Block]:
+    """``Block`` records, made as they are consumed, for objects whose
+    ``X0``s lie back to back in ``x0s`` (the backends' registration
+    input; the computed policies never read it)."""
+    values = iter(x0s.tolist())
+    for media in objects:
+        for index in range(media.num_blocks):
+            yield Block(media.object_id, index, next(values))
+
+
+def _object_ids(objects: list[MediaObject]) -> list[BlockId]:
+    """Every block id of ``objects``, objects back to back, blocks by
+    index."""
+    return [
+        BlockId(media.object_id, index)
+        for media in objects
+        for index in range(media.num_blocks)
+    ]
+
+
+def _ids(object_ids: np.ndarray, block_indices: np.ndarray) -> list[BlockId]:
+    """Block ids from an object-id column and a block-index column."""
+    return [
+        BlockId(oid, index)
+        for oid, index in zip(object_ids.tolist(), block_indices.tolist())
+    ]

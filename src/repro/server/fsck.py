@@ -6,9 +6,11 @@ seeds + op log) equals where its bytes physically sit.  Crashes
 mid-migration, operator surgery or software bugs can break it;
 :func:`check_layout` audits a server and :func:`repair_layout` moves
 stray blocks back where the backend says they belong (the backend wins —
-it is what retrieval will use).  The audit runs through
-``server.block_locations``, so it works unchanged for every registered
-backend.
+it is what retrieval will use).  The audit runs through the backend's
+batched ``locate_batch`` (:meth:`CMServer.computed_homes`), so it works
+unchanged for every registered backend, and compares whole columns:
+O(objects) Python plus O(blocks) array work, with Python objects built
+only for the blocks that disagree.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from repro.server.cmserver import CMServer, PendingReshuffle, PendingScale
 from repro.storage.block import BlockId
@@ -87,7 +91,7 @@ def check_layout(
             attached
         ):
             # Mid-removal: AF() yields post-removal logical indices, but
-            # ``block_locations`` resolves them against the pre-detach
+            # ``computed_homes`` resolves them against the pre-detach
             # table.  Remap each raw expectation to the survivor the
             # logical index actually denotes.
             survivors = server.array.survivors_after_removal(pending.op.removed)
@@ -99,34 +103,45 @@ def check_layout(
         m.block_id: (m.source_physical, m.target_physical) for m in moves
     }
     report = LayoutReport()
-    cataloged: set[BlockId] = set()
-    for media in server.catalog:
-        # One batched AF() pass per object instead of a chain per block.
-        expected_homes = server.block_locations(media.object_id)
-        for index, expected in enumerate(expected_homes):
-            expected = translate.get(expected, expected)
-            block_id = BlockId(media.object_id, index)
-            cataloged.add(block_id)
-            report.blocks_checked += 1
-            try:
-                actual = server.array.home_of(block_id)
-            except KeyError:
-                report.missing.append(block_id)
-                continue
-            if actual != expected:
-                violation = LayoutViolation(
-                    block_id=block_id,
-                    expected_physical=expected,
-                    actual_physical=actual,
-                )
-                if expected_by_move.get(block_id) == (actual, expected):
-                    report.in_flight.append(violation)
-                else:
-                    report.misplaced.append(violation)
-    for pid in server.array.physical_ids:
-        for block in server.array.blocks_on_physical(pid):
-            if block.block_id not in cataloged:
-                report.orphans.append(block.block_id)
+    objects = list(server.catalog)
+    # One batched AF() pass over every catalog block, then a column
+    # compare: Python runs per object and per disagreement only.
+    expected = server.computed_homes(objects)
+    if translate:
+        lookup = np.arange(max(attached) + 1, dtype=np.int64)
+        lookup[list(translate)] = list(translate.values())
+        expected = lookup[expected]
+    lengths = [m.num_blocks for m in objects]
+    actual = server.array.home_columns([m.object_id for m in objects], lengths)
+    report.blocks_checked = actual.shape[0]
+    ends = np.cumsum(lengths, dtype=np.int64)
+    wrong = np.flatnonzero(actual != expected)
+    for position, k in zip(
+        wrong.tolist(), np.searchsorted(ends, wrong, side="right").tolist()
+    ):
+        index = position - int(ends[k]) + lengths[k]
+        block_id = BlockId(objects[k].object_id, index)
+        home = int(actual[position])
+        if home < 0:
+            report.missing.append(block_id)
+            continue
+        violation = LayoutViolation(
+            block_id=block_id,
+            expected_physical=int(expected[position]),
+            actual_physical=home,
+        )
+        if expected_by_move.get(block_id) == (home, violation.expected_physical):
+            report.in_flight.append(violation)
+        else:
+            report.misplaced.append(violation)
+    if np.count_nonzero(actual >= 0) < server.array.total_blocks:
+        # Some resident block lies outside every catalog object.
+        sizes = {m.object_id: m.num_blocks for m in objects}
+        report.orphans.extend(
+            block_id
+            for block_id in server.array.resident_ids()
+            if block_id.index >= sizes.get(block_id.object_id, 0)
+        )
     return report
 
 

@@ -182,7 +182,7 @@ class Scrubber:
         (1.0 for any disk not currently rebuilding)."""
         if self.monitor.state(physical_id) is not DiskHealth.REBUILDING:
             return 1.0
-        resident = len(self.array.blocks_on_physical(physical_id))
+        resident = self.array.resident_on(physical_id)
         if resident == 0:
             return 1.0
         return min(1.0, self._rebuild_done.get(physical_id, 0) / resident)
@@ -195,7 +195,7 @@ class Scrubber:
         for pid in self.monitor.disks_in(DiskHealth.REBUILDING):
             if budget <= 0:
                 break
-            resident = len(self.array.blocks_on_physical(pid))
+            resident = self.array.resident_on(pid)
             done = self._rebuild_done.get(pid, 0)
             step = min(budget, resident - done)
             if step > 0:
@@ -231,17 +231,10 @@ class Scrubber:
         The scan is O(total blocks) so the result is cached against the
         array's :attr:`~repro.storage.array.DiskArray.inventory_version`;
         block moves keep the membership (and thus this list) unchanged,
-        so only place/drop invalidate it.  The sorted order is identical
-        to an uncached rebuild — patrol semantics do not change.
+        so only place/drop invalidate it.
         """
         version = self.array.inventory_version
         if version != self._population_version:
-            blocks: list[BlockId] = []
-            for pid in self.array.physical_ids:
-                blocks.extend(
-                    b.block_id for b in self.array.blocks_on_physical(pid)
-                )
-            blocks.sort(key=lambda b: (b.object_id, b.index))
-            self._population_cache = blocks
+            self._population_cache = self.array.resident_ids()
             self._population_version = version
         return self._population_cache

@@ -66,7 +66,6 @@ class IngestSession:
         # The backend learns the whole object up front (stateful backends
         # assign placements at registration); bytes still arrive per round.
         server.register_media(self.media)
-        self._pending: list[Block] = self.media.blocks()
         self._written = 0
 
     @property
@@ -82,7 +81,7 @@ class IngestSession:
     @property
     def done(self) -> bool:
         """Whether every block has landed."""
-        return not self._pending
+        return self._written >= self.media.num_blocks
 
     def step(self, budget: Mapping[int, int] | int) -> int:
         """Write up to the spare per-disk budget this round.
@@ -91,31 +90,37 @@ class IngestSession:
         every disk, a mapping gives per-physical-disk budgets (e.g. the
         scheduler's ``spare_by_physical``).  Each write costs one unit on
         its target disk.  Returns blocks written this round.
+
+        Raises ``KeyError`` once the object has left the catalog
+        (:meth:`~repro.server.cmserver.CMServer.remove_object` mid-ingest):
+        its remaining blocks would land as orphans.
         """
+        if self.object_id not in self.server.catalog:
+            raise KeyError(
+                f"object {self.object_id} left the catalog; ingest abandoned"
+            )
         spent: dict[int, int] = {}
         written = 0
-        still_pending: list[Block] = []
         # Batch the placement lookups for every pending block up front —
         # the targets may shift between rounds (mid-ingest scaling), so
-        # they are recomputed per round, but in one vectorized pass.
-        logicals = self.server.locate_blocks(self._pending)
-        for block, target_logical in zip(self._pending, logicals):
-            if still_pending:
-                # Keep playback order: once one block waits, later ones do.
-                still_pending.append(block)
-                continue
+        # they are recomputed per round, but in one vectorized pass.  The
+        # X0s are the server's current column: a reshuffle mid-ingest
+        # re-seeds the blocks still to come.
+        x0s = self.server.x0_column(self.object_id)[self._written :].tolist()
+        pending = [
+            Block(self.object_id, index, x0)
+            for index, x0 in enumerate(x0s, self._written)
+        ]
+        for block, target_logical in zip(pending, self.server.locate_blocks(pending)):
             target = self.server.array.physical_at(target_logical)
             allowance = (
                 budget if isinstance(budget, int) else budget.get(target, 0)
             )
             if spent.get(target, 0) >= allowance:
-                still_pending.append(block)
-                continue
+                break  # keep playback order: once one block waits, later ones do
             self.server.array.place_physical(block, target)
-            self.server._x0[block.block_id] = block.x0
             spent[target] = spent.get(target, 0) + 1
             written += 1
-        self._pending = still_pending
         self._written += written
         return written
 
@@ -128,7 +133,7 @@ class IngestSession:
             if report.rounds >= max_rounds:
                 raise IngestStalledError(
                     f"ingest incomplete after {max_rounds} rounds; "
-                    f"{len(self._pending)} blocks remain"
+                    f"{self.media.num_blocks - self._written} blocks remain"
                 )
             written = self.step(budget)
             if written == 0:

@@ -78,9 +78,10 @@ class BackendBatchLocator:
     ``locate_batch`` call and one physical-id lookup: no Python runs
     per object.
 
-    An object's segment is computed from the catalog's seeded sequence
-    (same as :meth:`CMServer.block_x0`) the first time a round demands
-    it, and kept with the catalog entry it came from.  The catalog's
+    An object's segment is the server's ``X0`` column for it
+    (:meth:`CMServer.x0_column`), laid into the locator's column the
+    first time a round demands it and kept with the catalog entry it
+    came from.  The catalog's
     :attr:`~repro.server.objects.ObjectCatalog.version` is compared once
     per call; when it moved, segments whose entry is gone or was
     replaced (a reshuffle re-seeds every object) are dropped and the
@@ -149,13 +150,8 @@ class BackendBatchLocator:
         server = self.server
         added = []
         for oid in object_ids:
-            media = server.catalog.get(oid)
-            x0s = np.fromiter(
-                (server.block_x0(oid, index) for index in range(media.num_blocks)),
-                dtype=np.uint64,
-                count=media.num_blocks,
-            )
-            self._segments[oid] = (media, x0s)
+            x0s = server.x0_column(oid)
+            self._segments[oid] = (server.catalog.get(oid), x0s)
             added.append((oid, x0s))
         self._lay_out(added)
 

@@ -11,11 +11,13 @@ every object a fresh sequence.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.prng.generators import _mix64
-from repro.prng.sequence import ObjectSequence
+from repro.prng.sequence import ObjectSequence, prefixes
 from repro.storage.block import Block
 
 
@@ -70,6 +72,11 @@ class MediaObject:
             for i, x0 in enumerate(x0s)
         ]
 
+    def x0_column(self) -> np.ndarray:
+        """``[X0(0), ..., X0(num_blocks - 1)]`` as a ``uint64`` array
+        (see :func:`x0_columns`)."""
+        return x0_columns([self])
+
     def block(self, index: int) -> Block:
         """One block with its ``X0`` (O(1) for counter-based families)."""
         if not 0 <= index < self.num_blocks:
@@ -82,6 +89,17 @@ class MediaObject:
             index=index,
             x0=self.sequence().x0(index),
         )
+
+
+def x0_columns(objects: Sequence[MediaObject]) -> np.ndarray:
+    """Every block's ``X0`` for ``objects``, back to back (each object's
+    blocks in index order) as one ``uint64`` array: one numpy pass for
+    the splitmix64 objects, iteration for the stateful families
+    (:func:`repro.prng.sequence.prefixes`)."""
+    return prefixes(
+        [media.sequence() for media in objects],
+        [media.num_blocks for media in objects],
+    )
 
 
 @dataclass

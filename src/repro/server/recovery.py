@@ -225,7 +225,7 @@ def escalate_disk_death(
         m for m in session.pending_moves if m.source_physical == dead_physical
     ]
     for move in sourced:
-        x0 = server._x0_of(move.block_id.object_id, move.block_id.index)
+        x0 = server.block_x0(move.block_id.object_id, move.block_id.index)
         pair = mirrored.replica_pair(x0)
         if pair.primary == pair.mirror == dead_logical:
             raise DataLossError(

@@ -11,9 +11,11 @@ zero downtime.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.storage.array import DiskArray, PlacementConflictError
 from repro.storage.block import BlockId
@@ -66,34 +68,33 @@ class MigrationPlan:
 
 
 def plan_physical_moves(
-    array: DiskArray,
-    candidates: Iterable[tuple[BlockId, int]],
-    target_table: Sequence[int],
+    object_ids: np.ndarray,
+    block_indices: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
 ) -> MigrationPlan:
     """Build the physical migration plan from a backend's move candidates.
 
-    ``candidates`` pairs each candidate block with its post-operation
-    *logical* disk (as reported by
-    :meth:`~repro.placement.base.PlacementPolicy.plan_moves`);
-    ``target_table`` translates post-operation logical indices to
-    physical ids.  Candidates whose translated target equals their
-    current physical home are dropped — backends may over-report (e.g.
-    removal re-compaction shifts logical indices without moving bytes),
-    and only genuine transfers belong in the plan.
+    The candidates come as columns: each block's object id and index,
+    its current physical home and the physical disk its post-operation
+    logical index denotes.  Candidates already on their target are
+    dropped — backends may over-report (e.g. removal re-compaction
+    shifts logical indices without moving bytes), and only genuine
+    transfers belong in the plan, in candidate order.  Python records
+    are built for those transfers only.
     """
-    moves: list[PhysicalMove] = []
-    for block_id, target_logical in candidates:
-        source_physical = array.home_of(block_id)
-        target_physical = target_table[target_logical]
-        if source_physical != target_physical:
-            moves.append(
-                PhysicalMove(
-                    block_id=block_id,
-                    source_physical=source_physical,
-                    target_physical=target_physical,
-                )
+    real = np.flatnonzero(sources != targets)
+    return MigrationPlan.from_moves(
+        [
+            PhysicalMove(BlockId(oid, index), source, target)
+            for oid, index, source, target in zip(
+                object_ids[real].tolist(),
+                block_indices[real].tolist(),
+                sources[real].tolist(),
+                targets[real].tolist(),
             )
-    return MigrationPlan.from_moves(moves)
+        ]
+    )
 
 
 @dataclass
@@ -140,7 +141,7 @@ def order_capacity_safe(array: DiskArray, plan: MigrationPlan) -> MigrationPlan:
     free: dict[int, int] = {}
     for pid in array.physical_ids:
         disk = array.disk(pid)
-        free[pid] = disk.capacity_blocks - len(array.blocks_on_physical(pid))
+        free[pid] = disk.capacity_blocks - array.resident_on(pid)
     pending = list(plan.moves)
     ordered: list[PhysicalMove] = []
     while pending:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 
 import pytest
@@ -68,3 +70,16 @@ def small_catalog():
 def default_specs() -> list[DiskSpec]:
     """Four identical disk specs with generous capacity."""
     return [DiskSpec(capacity_blocks=100_000, bandwidth_blocks_per_round=8)] * 4
+
+
+@pytest.fixture(scope="session")
+def quick_report() -> tuple[int, str]:
+    """``scaddar report --quick`` run once per session: its exit code and
+    the markdown it printed (every quick experiment runs, so the render
+    is shared by the tests that read it)."""
+    from repro.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(["report", "--quick"])
+    return code, buffer.getvalue()

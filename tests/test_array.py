@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.storage.array import DiskArray, PlacementConflictError
@@ -213,3 +214,37 @@ class TestInventory:
 
     def test_repr(self):
         assert "disks=4" in repr(make_array())
+
+
+class TestBulkInventory:
+    def test_inventory_version_counts_every_block(self):
+        """Bulk places and drops advance the version by one per block,
+        so (version + resident) / 2 counts every block ever placed."""
+        array = make_array(n=3)
+        array.place_objects([1, 2], [3, 4], np.arange(7), [0, 1, 2, 0, 1, 2, 0])
+        array.place(b(0), 1)
+        assert array.inventory_version == 8
+        assert array.move(BlockId(1, 0), array.physical_at(2))
+        assert array.inventory_version == 8
+        assert array.drop_object(2) == 4
+        assert array.inventory_version == 12
+        assert array.total_blocks == 4
+        assert (array.inventory_version + array.total_blocks) // 2 == 8
+        assert array.load_vector() == [0, 2, 2]
+
+    def test_bulk_place_is_all_or_nothing(self):
+        array = make_array(n=2, capacity=3)
+        with pytest.raises(PlacementConflictError):
+            array.place_objects([5], [4], np.zeros(4), [0, 0, 0, 0])
+        assert array.total_blocks == array.inventory_version == 0
+        array.place_objects([5], [2], np.array([7, 9]), [0, 1])
+        with pytest.raises(PlacementConflictError):
+            array.place_objects([5], [1], np.zeros(1), [1])
+        assert array.blocks_on(0) == {Block(5, 0, 7)}
+        assert array.blocks_on(1) == {Block(5, 1, 9)}
+        assert array.home_columns([5, 6], [3, 1]).tolist() == [
+            array.physical_at(0),
+            array.physical_at(1),
+            -1,
+            -1,
+        ]

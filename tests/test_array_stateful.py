@@ -1,7 +1,8 @@
 """Stateful property testing of the DiskArray inventory.
 
-A hypothesis rule machine churns one array — places, moves, drops,
-group additions and removals — and checks the inventory invariants
+A hypothesis rule machine churns one array — places (one block or whole
+objects in bulk), moves, drops, group additions and removals — and
+checks the inventory invariants
 after every step: the home index and per-disk contents agree, loads sum
 to the population, capacity is never exceeded, and the logical order
 always enumerates exactly the attached disks.
@@ -9,6 +10,7 @@ always enumerates exactly the attached disks.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -32,6 +34,7 @@ class ArrayMachine(RuleBasedStateMachine):
     def setup(self, n0):
         self.array = DiskArray([DiskSpec(capacity_blocks=CAPACITY)] * n0)
         self.next_block = 0
+        self.next_object = 1  # object 0 takes the one-block placements
         self.resident: dict = {}  # block_id -> block
 
     # ------------------------------------------------------------------
@@ -48,6 +51,22 @@ class ArrayMachine(RuleBasedStateMachine):
             pass  # disk full — acceptable, nothing changed
         else:
             self.resident[block.block_id] = block
+
+    @rule(picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+    def place_object(self, picks):
+        """A whole new object in one bulk write: all of it or none."""
+        object_id = self.next_object
+        self.next_object += 1
+        logical = [pick % self.array.num_disks for pick in picks]
+        x0s = np.arange(len(picks), dtype=np.uint64) + np.uint64(object_id)
+        try:
+            self.array.place_objects([object_id], [len(picks)], x0s, logical)
+        except PlacementConflictError:
+            pass  # some disk lacks room — nothing changed
+        else:
+            for index, x0 in enumerate(x0s.tolist()):
+                block = Block(object_id, index, x0=x0)
+                self.resident[block.block_id] = block
 
     @precondition(lambda self: self.resident)
     @rule(block_pick=st.integers(0, 10**6), target_pick=st.integers(0, 10**6))

@@ -12,13 +12,13 @@ computes.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import PlacementEngine
 from repro.core.scaddar import ScaddarMapper
 from repro.server.cmserver import CMServer
+from repro.storage.block import BlockId
 from repro.storage.disk import DiskSpec
 from repro.storage.migration import MigrationSession
 from repro.workloads.generator import uniform_catalog
@@ -52,6 +52,14 @@ def server_schedules(draw, n0_range=(3, 6), max_ops=4):
     return n0, ops
 
 
+def _population(server):
+    """The resident blocks' ids and X0s in the server's own order (what
+    begin_scale batches)."""
+    object_ids, indices, x0s, __ = server.resident_blocks()
+    ids = [BlockId(o, i) for o, i in zip(object_ids.tolist(), indices.tolist())]
+    return ids, x0s
+
+
 def _to_op(entry):
     from repro.core.operations import ScalingOp
 
@@ -76,10 +84,7 @@ class TestScaddarBackendParity:
             op = _to_op(entry)
             # Capture the population in the server's own iteration order
             # (what begin_scale batches) before mutating anything.
-            ids = list(server._x0)
-            x0s = np.fromiter(
-                server._x0.values(), dtype=np.uint64, count=len(ids)
-            )
+            ids, x0s = _population(server)
             sources = {bid: server.array.home_of(bid) for bid in ids}
 
             pending = server.begin_scale(op)
@@ -108,8 +113,10 @@ class TestScaddarBackendParity:
             server.finish_scale(pending)
 
             # Location parity: backend vs scalar reference, block by block.
-            for bid, x0 in server._x0.items():
-                assert server.backend.locate_one(bid, x0) == mapper.disk_of(x0)
+            for bid, x0 in zip(*_population(server)):
+                assert server.backend.locate_one(bid, int(x0)) == mapper.disk_of(
+                    int(x0)
+                )
 
     @given(spec=server_schedules(max_ops=3))
     @settings(max_examples=15, deadline=None)

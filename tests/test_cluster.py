@@ -507,6 +507,7 @@ class TestClusterJournal:
                 seq=2, op=ScalingOp.add(1), shards_before=3,
                 shards_after=4, new_shard_ids=(3,), moves=[],
             )
+        journal.close()
 
     def test_seq_mismatch_rejected(self, tmp_path):
         journal = ClusterJournal(str(tmp_path / "c.journal"))
@@ -518,6 +519,7 @@ class TestClusterJournal:
             journal.record_apply(2, 5)
         with pytest.raises(JournalError):
             journal.record_commit(2)
+        journal.close()
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = str(tmp_path / "c.journal")
@@ -554,9 +556,11 @@ class TestClusterJournal:
         journal.record_apply(1, 5)
         journal.record_commit(1)
         journal.close()
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         lines[1] = '{"type": "app'  # bit-rot in the middle of the file
-        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
         with pytest.raises(ClusterJournalCorruptionError) as excinfo:
             ClusterJournal(path).replay()
         assert excinfo.value.lineno == 2
@@ -573,9 +577,11 @@ class TestClusterJournal:
         journal.record_apply(1, 5)
         journal.record_commit(1)
         journal.close()
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         lines[0] = '{"type": "begin", "seq": 1}'  # parses, fields gone
-        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
         with pytest.raises(ClusterJournalCorruptionError) as excinfo:
             ClusterJournal(path).replay()
         assert excinfo.value.lineno == 1

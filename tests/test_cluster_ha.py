@@ -778,6 +778,7 @@ class TestJournalLayering:
         coordinator.execute_reshard(pending)
         coordinator.finish_reshard(pending)
         assert coordinator.journal.replay()[-1].committed
+        coordinator.close()
 
     def test_shard_scale_refused_while_reshard_open(self, tmp_path):
         coordinator = build_ha_cluster(
@@ -794,6 +795,7 @@ class TestJournalLayering:
         # committed and the per-shard op runs clean.
         assert coordinator.journal.replay()[-1].committed
         coordinator.scale_shard(1, ScalingOp.add(1))
+        coordinator.close()
 
     def test_rebuild_guard_exempts_the_dead_shard(self, tmp_path):
         coordinator = build_ha_cluster(
@@ -812,6 +814,7 @@ class TestJournalLayering:
         rebuilder.run()
         rebuilder.finish()
         assert check_cluster(coordinator).fully_replicated
+        coordinator.close()
 
 
 class TestDeterminism:

@@ -67,7 +67,7 @@ class TestObjectLifecycle:
 
     def test_block_location_uncached_falls_back_to_seed(self):
         server = make_server(num_objects=1, blocks=10)
-        server._x0.clear()  # simulate cold cache
+        server.x0_cache.clear()  # simulate cold cache
         assert server.block_location(0, 3) == server.array.home_of(BlockId(0, 3))
 
 
@@ -177,7 +177,7 @@ class TestBlockLocations:
 
     def test_cold_cache_falls_back_to_seeds(self):
         server = make_server(num_objects=1, blocks=30)
-        server._x0.clear()
+        server.x0_cache.clear()
         self.assert_matches_per_block(server)
 
     def test_unknown_object_raises(self):

@@ -49,14 +49,18 @@ class TestDoctests:
 
 
 class TestMarkdownReport:
-    def test_report_covers_every_experiment(self):
-        from repro.cli import render_markdown_report
+    def test_report_covers_every_experiment(self, quick_report):
+        """``scaddar report --quick`` (rendered once per session by the
+        ``quick_report`` fixture): exit code, header, every experiment's
+        section and a few headline numbers."""
         from repro.experiments import EXPERIMENTS
 
-        document = render_markdown_report(quick=True)
+        code, document = quick_report
+        assert code == 0
         for name in EXPERIMENTS:
             assert f"## {name}" in document
         assert document.startswith("# SCADDAR reproduction")
+        assert "```text" in document
         # Spot-check a few headline numbers survived into the document.
         assert "paper: 8" in document  # cov-curve budget
         assert "disks 0, 2 ignored" in document  # fig1

@@ -3,8 +3,35 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.server.objects import MediaObject, ObjectCatalog
+from repro.prng.sequence import ObjectSequence
+from repro.server.objects import MediaObject, ObjectCatalog, x0_columns
+
+#: Widest output each generator family supports.
+FAMILY_BITS = {"splitmix64": 64, "xorshift64star": 64, "pcg32": 32, "lcg48": 32}
+
+
+@st.composite
+def media_objects(draw, object_id=0):
+    """An object of any family, bit width, seed (negative or past 64
+    bits included) and length 1-300."""
+    family = draw(st.sampled_from(sorted(FAMILY_BITS)))
+    return MediaObject(
+        object_id=object_id,
+        name=f"m{object_id}",
+        num_blocks=draw(st.integers(1, 300)),
+        seed=draw(
+            st.one_of(
+                st.integers(-(2**70), -1),
+                st.integers(0, 2**64 - 1),
+                st.integers(2**64, 2**80),
+            )
+        ),
+        bits=draw(st.integers(1, FAMILY_BITS[family])),
+        family=family,
+    )
 
 
 class TestMediaObject:
@@ -29,6 +56,30 @@ class TestMediaObject:
         obj = MediaObject(object_id=1, name="m", num_blocks=10, seed=7, bits=32)
         for i in (0, 5, 9):
             assert obj.block(i) == obj.blocks()[i]
+
+    @given(media=media_objects())
+    @settings(max_examples=200, deadline=None)
+    def test_x0_column_equals_iterated_prefix(self, media):
+        """The vectorized column is the sequence's iteration, bit for bit."""
+        column = media.x0_column()
+        assert column.dtype.name == "uint64"
+        iterated = ObjectSequence(media.seed, media.bits, media.family).prefix(
+            media.num_blocks
+        )
+        assert column.tolist() == iterated
+
+    @given(data=st.data(), count=st.integers(0, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_x0_columns_lie_back_to_back(self, data, count):
+        """Several objects in one pass, mixed families included, give each
+        object's prefix in turn."""
+        objects = [data.draw(media_objects(object_id=i)) for i in range(count)]
+        expected = [
+            x0
+            for media in objects
+            for x0 in media.sequence().prefix(media.num_blocks)
+        ]
+        assert x0_columns(objects).tolist() == expected
 
     def test_block_bounds(self):
         obj = MediaObject(object_id=1, name="m", num_blocks=10, seed=7)

@@ -166,3 +166,61 @@ class TestIngest:
             assert server.block_location(session.object_id, index) == (
                 server.array.home_of(BlockId(session.object_id, index))
             )
+
+    @pytest.mark.parametrize("backend", ["scaddar", "directory"])
+    def test_remove_mid_ingest_drops_what_landed(self, backend):
+        """Removing a partially ingested object drops its resident
+        blocks, unregisters all of them, and stops the session: no
+        orphan lands and the layout audits clean."""
+        from repro.server.fsck import check_layout
+
+        catalog = uniform_catalog(2, 20, master_seed=5, bits=32)
+        server = CMServer(catalog, [DiskSpec()] * 3, bits=32, backend=backend)
+        before = (server.total_blocks, server.backend.state_entries())
+        session = IngestSession(server, "partial", 30)
+        assert 0 < session.step(budget=1) < 30
+        server.remove_object(session.object_id)
+        assert (server.total_blocks, server.backend.state_entries()) == before
+        with pytest.raises(KeyError):
+            session.step(budget=100)
+        with pytest.raises(KeyError):
+            session.run(budget=100)
+        assert server.total_blocks == before[0]
+        assert check_layout(server).clean
+
+    def test_reshuffle_mid_ingest_reseeds_the_blocks_to_come(self):
+        """A full redistribution while an object is half written moves
+        its written blocks with the rest, and the ingest writes the
+        remaining ones under the fresh seeds: the layout audits clean."""
+        from repro.server.fsck import check_layout
+
+        server = make_server()
+        session = IngestSession(server, "half", 60)
+        session.step(budget=3)
+        assert 0 < session.frontier < 60
+        server.reshuffle()
+        session.run(budget=5)
+        assert check_layout(server).clean
+
+    def test_plan_orders_moves_by_catalog_then_index(self):
+        """A scaling plan and its journaled intent list moves by object
+        in catalog order, blocks by index, whatever order the blocks
+        were written in: here one object is partly ingested, a second is
+        placed whole, and then the first finishes."""
+        from repro.server.journal import ScalingJournal
+
+        server = make_server()
+        journal = ScalingJournal()
+        server.attach_journal(journal)
+        session = IngestSession(server, "first", 60)
+        session.step(budget=2)
+        assert 0 < session.frontier < 60
+        second = server.add_object("second", 80)
+        session.run(budget=10)
+        pending = server.begin_scale(ScalingOp.add(2))
+        keys = [(m.block_id.object_id, m.block_id.index) for m in pending.plan.moves]
+        rank = {media.object_id: k for k, media in enumerate(server.catalog)}
+        assert keys == sorted(keys, key=lambda key: (rank[key[0]], key[1]))
+        assert {session.object_id, second.object_id} <= {oid for oid, __ in keys}
+        [record] = journal.replay()
+        assert [(m.block_id.object_id, m.block_id.index) for m in record.plan] == keys

@@ -126,16 +126,8 @@ class TestHiccupRetrySemantics:
 
 
 class TestCliReportQuick:
-    def test_report_quick_is_markdown(self):
-        from repro.cli import main
-
-        import io
-        import contextlib
-
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            code = main(["report", "--quick"])
+    def test_report_quick_is_markdown(self, quick_report):
+        code, text = quick_report
         assert code == 0
-        text = buffer.getvalue()
         assert text.startswith("# SCADDAR reproduction")
         assert "```text" in text

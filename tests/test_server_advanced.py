@@ -166,7 +166,7 @@ class TestFailoverLocator:
         failed_physical = server.array.physical_at(failed_logical)
 
         def locator(block_id: BlockId) -> int:
-            x0 = server._x0[block_id]
+            x0 = server.block_x0(block_id.object_id, block_id.index)
             logical = mirrored.read_disk(x0, failed={failed_logical})
             return server.array.physical_at(logical)
 
