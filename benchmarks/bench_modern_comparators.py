@@ -22,7 +22,12 @@ def test_modern_backend_scorecard(run_once):
     # every backend resumes to a clean layout with nothing lost.
     for row in rows:
         assert row.survived, f"{row.backend} lost {row.blocks_lost} blocks"
-        assert row.mean_efficiency > 0.5
+        if row.backend == "sequential_checking":
+            # Reallocation-free by design (arXiv 1707.00904): growth
+            # moves no block, so there is no movement to be efficient at.
+            assert row.mean_moved_fraction == 0.0
+        else:
+            assert row.mean_efficiency > 0.5, row.backend
     # AO1 state footprints: jump hash is stateless; SCADDAR logs one
     # entry per operation; the ring is O(N * vnodes); the directory is
     # O(blocks).

@@ -776,11 +776,11 @@ class ClusterCoordinator:
         health monitor, so repeated failures trip the breaker and later
         reads skip the shard without paying the retry latency.
 
-        A home that serves unimpeded (healthy, breaker quiescent) with
-        no fault injector attached answers on the first attempt, and a
-        success leaves a quiescent breaker unchanged, so that route is
-        returned without entering the loop: one home lookup, the health
-        predicate read inline, and one tuple.
+        A home that serves unimpeded (:meth:`_serves_unimpeded`)
+        answers on the first attempt, and a success leaves a quiescent
+        breaker unchanged, so that route is returned without entering
+        the loop.  :meth:`admit_stream` takes the same test and does not
+        call this method when it holds.
 
         Raises
         ------
@@ -794,16 +794,10 @@ class ClusterCoordinator:
         replication = self.replication
         if replication.tracker is not None:
             replication.record_demand(object_id)
-        if self.fault_injector is None:
-            # ClusterHealthMonitor.serves_unimpeded(home), inlined.
-            health = self.health
-            breaker = health._breakers.get(home)
-            if health._states.get(home, _HEALTHY) is _HEALTHY and (
-                breaker is None or breaker.is_quiescent
-            ):
-                return _new_route(
-                    ReadRoute, (object_id, home, 1, 0, False, (home,))
-                )
+        if self._serves_unimpeded(home):
+            return _new_route(
+                ReadRoute, (object_id, home, 1, 0, False, (home,))
+            )
         if round_index is None:
             round_index = self.round_index
         cfg = self.failover
@@ -866,6 +860,24 @@ class ClusterCoordinator:
             f"(tried shards {path})"
         )
 
+    def _serves_unimpeded(self, shard_id: int) -> bool:
+        """Whether a read of ``shard_id`` succeeds at its first attempt
+        and changes no health state: no fault injector is attached, the
+        shard is healthy, and its breaker is absent or quiescent (the
+        test :meth:`route_read` and :meth:`admit_stream` take).
+
+        The health part is
+        :meth:`~repro.health.HealthMonitor.serves_unimpeded`, its two
+        dicts read inline (once per admission); keep the two in step.
+        """
+        if self.fault_injector is not None:
+            return False
+        health = self.health
+        if health._states.get(shard_id, _HEALTHY) is not _HEALTHY:
+            return False
+        breaker = health._breakers.get(shard_id)
+        return breaker is None or breaker.is_quiescent
+
     def route_reads(self, object_ids: Sequence[int]) -> np.ndarray:
         """Serving shard for each object, batched.
 
@@ -910,20 +922,43 @@ class ClusterCoordinator:
     ) -> Stream:
         """Admit a playback stream on a shard holding a live copy.
 
-        Routed through :meth:`route_read` — the home shard on a healthy
-        cluster (bit-identical to the pre-replication behavior), a
-        replica when the home is dead or persistently failing.  Stream
-        ids are cluster-unique so migration and failover can re-home
-        them.
+        A home that serves unimpeded (:meth:`_serves_unimpeded`) takes
+        the stream directly: one demand unit, then its scheduler's
+        :meth:`~repro.server.scheduler.RoundScheduler.open_stream`.  Any
+        other home goes through :meth:`route_read` (a replica when the
+        home is dead or persistently failing).  Stream ids are
+        cluster-unique so migration and failover can re-home them.
+
+        A duplicate stream id (``ValueError``) or an unknown object
+        (``KeyError``) fails before any demand is recorded; a start
+        block outside the object (``ValueError``) or a refusal
+        (:class:`~repro.server.admission.AdmissionRefusedError`) fails
+        after its demand unit is recorded, leaving nothing else behind.
         """
         streams = self._streams
         if stream_id in streams:
             raise ValueError(f"stream id {stream_id} already admitted")
-        shard_id = self.route_read(object_id).shard_id
-        shard = self._shard_by_id[shard_id]
-        media = shard.server.catalog.get(self._local_id_on(object_id, shard_id))
-        stream = Stream(stream_id, media, start_block=start_block)
-        shard.scheduler.admit(stream)
+        try:
+            home = self._home[object_id]
+        except KeyError:
+            raise KeyError(f"object {object_id} is not in the cluster")
+        if self._serves_unimpeded(home):
+            # ClusterReplicationManager.record_demand, inlined.
+            tracker = self.replication.tracker
+            if tracker is not None:
+                tracker.record(object_id)
+                if self.obs.enabled:
+                    self.obs.inc("cluster.demand.units", 1)
+            shard = self._shard_by_id[home]
+            # The home copy's catalog entry (ObjectCatalog.get, inlined).
+            media = shard.server.catalog._objects[self._local[object_id]]
+        else:
+            shard_id = self.route_read(object_id).shard_id
+            shard = self._shard_by_id[shard_id]
+            media = shard.server.catalog.get(
+                self._local_id_on(object_id, shard_id)
+            )
+        stream = shard.scheduler.open_stream(stream_id, media, start_block)
         streams[stream_id] = object_id
         viewers = self._viewers.get(object_id)
         if viewers is None:
@@ -935,19 +970,15 @@ class ClusterCoordinator:
     def depart_stream(self, stream_id: int) -> Stream:
         """Remove a stream from the table holding it: the scheduler of
         the shard serving it, or the stranded table."""
-        if stream_id not in self._streams:
-            raise KeyError(f"stream id {stream_id} is not admitted")
-        stream = self._forget_viewer(stream_id)
-        return stream._table.remove(stream_id)
-
-    def _forget_viewer(self, stream_id: int) -> Stream:
-        """Drop an admitted stream from the registry; its handle."""
-        gid = self._streams.pop(stream_id)
+        try:
+            gid = self._streams.pop(stream_id)
+        except KeyError:
+            raise KeyError(f"stream id {stream_id} is not admitted") from None
         viewers = self._viewers[gid]
         stream = viewers.pop(stream_id)
         if not viewers:
             del self._viewers[gid]
-        return stream
+        return stream._table.remove(stream_id)
 
     def run_round(self) -> ClusterRoundReport:
         """Serve one barrier round: every shard runs round *r* before any
@@ -1650,8 +1681,9 @@ class ClusterCoordinator:
         # Departures and compaction last: both renumber rows.
         for i in np.flatnonzero(~known | finished).tolist():
             if known[i]:
-                self._forget_viewer(ids.item(i))
-            table.remove(ids.item(i))
+                self.depart_stream(ids.item(i))
+            else:
+                table.remove(ids.item(i))
         table.compact_if_due()
         if self.obs.enabled:
             for i, t in zip(stranded.tolist(), title_of[target < 0].tolist()):

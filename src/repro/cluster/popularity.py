@@ -8,7 +8,8 @@ into an *optimizer* over a fixed storage budget:
 * :class:`DemandTracker` — a decaying per-object demand counter.  The
   coordinator feeds it from every routed read
   (:meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read` /
-  ``route_reads``) and from each serving round's live-stream demand;
+  ``route_reads``), every admitted stream and each serving round's
+  live-stream demand;
   what it sees is mirrored into the obs counters
   (``cluster.demand.units``), so the tracker's input signal is the same
   one the PR 5 observability layer exports.  Decay is *lazy*: a score
@@ -44,15 +45,9 @@ import numpy as np
 
 __all__ = ["DemandTracker", "ReplicationPolicy"]
 
-#: Scores decayed below this are dropped during compaction — at the
-#: default half-life a score of 1.0 takes ~30 half-lives to get here,
-#: long past any hysteresis window's memory.
-_COMPACT_FLOOR = 1e-9
-
-
 def _add_units(scores: np.ndarray, units: np.ndarray) -> np.ndarray:
     """``scores[i] + 1.0 + ... + 1.0`` (``units[i]`` additions), rounded
-    exactly as that many one-unit :meth:`DemandTracker.record` calls.
+    exactly as that many one-unit additions made one at a time.
 
     Adding 1.0 to a float below 2**53 is exact until the sum crosses a
     power of two; only the crossing addition can round.  So each pass
@@ -81,10 +76,15 @@ def _add_units(scores: np.ndarray, units: np.ndarray) -> np.ndarray:
 class DemandTracker:
     """Decaying per-object demand, clocked by the cluster round index.
 
-    ``record`` adds demand units at the current round; ``demand`` reads
-    a score decayed to the current round.  One *unit* is one observed
-    read intent — a routed read or one stream-round of playback — so
-    scores are comparable across feed paths.
+    ``record`` (one object), ``record_batch`` (a gid per unit) and
+    ``record_counts`` (gids and unit counts) queue demand units at the
+    current round; ``demand`` reads a score decayed to the current
+    round.  One *unit* is one observed read intent — a routed read, an
+    admitted stream, or one stream-round of playback — so scores are
+    comparable across feed paths.  Queued units are folded into the
+    scores in one pass (:meth:`_fold_pending`) before any score is read
+    and before the clock moves, to the same bits as adding each unit on
+    its own.
 
     Parameters
     ----------
@@ -93,10 +93,10 @@ class DemandTracker:
     	flash crowds aggressively; large values smooth them.
     """
 
-    #: Queued batch units past which :meth:`record_batch` folds at once,
-    #: so the queue stays bounded (8 MiB of gids) when reads are routed
-    #: without rounds advancing.  A fold costs O(distinct objects), so a
-    #: cap well above the namespace size keeps it a few ns per unit.
+    #: Queued units past which the queue folds at once, so it stays
+    #: bounded (8 MiB of gids) when reads are routed without rounds
+    #: advancing.  A fold costs O(distinct objects), so a cap well
+    #: above the namespace size keeps it a few ns per unit.
     PENDING_CAP = 1 << 20
 
     def __init__(self, half_life_rounds: int = 32):
@@ -111,15 +111,17 @@ class DemandTracker:
         self.round_index = 0
         #: Demand units recorded over the tracker's lifetime.
         self.total_units = 0
-        #: Batched demand not yet folded into ``_scores``, all stamped
-        #: at the current round: raw gid arrays (one unit per entry,
-        #: :meth:`record_batch`) and ``(gids, counts)`` pairs
-        #: (:meth:`record_counts`).  Folding is lazy (once per
-        #: read/round, or once :data:`PENDING_CAP` units queue up), so
-        #: the hot path pays one list-append per batch, not a Python
-        #: loop per object.
+        #: Demand not yet folded into ``_scores``, all stamped at the
+        #: current round: raw gid arrays (one unit per entry,
+        #: :meth:`record_batch`), ``(gids, counts)`` pairs
+        #: (:meth:`record_counts`) and per-object units (:meth:`record`).
+        #: Folding is lazy (once per read/round, or once
+        #: :data:`PENDING_CAP` units queue up), so the hot path pays one
+        #: list-append per batch or one dict update per record, not a
+        #: decay per object.
         self._pending: list[np.ndarray] = []
         self._pending_counts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_records: dict[int, int] = {}
         self._pending_units = 0
 
     def __len__(self) -> int:
@@ -186,14 +188,23 @@ class DemandTracker:
         """The queued units as ascending distinct gids and their totals
         (and clear the queue).
 
-        Raw arrays are counted by ``np.unique``.  One ``(gids, counts)``
-        pair with distinct gids is only sorted; anything else is merged
-        by ``np.unique`` over the pairs' gids, weighted by their counts.
+        Raw arrays are counted by ``np.unique``; the records join the
+        ``(gids, counts)`` pairs as one more pair.  One pair with
+        distinct gids is only sorted; anything else is merged by
+        ``np.unique`` over the pairs' gids, weighted by their counts.
         """
         raw, counted = self._pending, self._pending_counts
+        records = self._pending_records
         self._pending = []
         self._pending_counts = []
+        self._pending_records = {}
         self._pending_units = 0
+        if records:
+            count = len(records)
+            counted.append((
+                np.fromiter(records, dtype=np.int64, count=count),
+                np.fromiter(records.values(), dtype=np.int64, count=count),
+            ))
         if raw:
             gids = raw[0] if len(raw) == 1 else np.concatenate(raw)
             unique = np.unique(gids, return_counts=True)
@@ -221,10 +232,11 @@ class DemandTracker:
     def _fold_pending(self) -> None:
         """Aggregate queued batches into the score table (one pass).
 
-        The result equals one :meth:`record` call per queued unit, to
-        the last bit (see :func:`_add_units`).
+        The result equals adding each queued unit on its own, one at a
+        time, to its score decayed to the current round, to the last
+        bit (see :func:`_add_units`).
         """
-        if not (self._pending or self._pending_counts):
+        if not (self._pending or self._pending_counts or self._pending_records):
             return
         unique, counts = self._pending_totals()
         keys = unique.tolist()
@@ -240,15 +252,21 @@ class DemandTracker:
             self._scores[gid] = (score, now)
 
     def record(self, gid: int, units: int = 1) -> None:
-        """Add demand units for one object at the current round."""
+        """Queue demand units for one object at the current round.
+
+        O(1), the per-admission feed: the units join the queue the
+        batch feeds fill, so once folded they count exactly as
+        ``units`` one-unit records, to the last bit.
+        """
         if units <= 0:
             return
-        self._fold_pending()
-        score, stamp = self._scores.get(gid, (0.0, self.round_index))
-        if stamp < self.round_index:
-            score *= self._decay ** (self.round_index - stamp)
-        self._scores[gid] = (score + units, self.round_index)
+        records = self._pending_records
+        records[gid] = records.get(gid, 0) + units
+        # _queued(units), inlined.
         self.total_units += units
+        self._pending_units += units
+        if self._pending_units > self.PENDING_CAP:
+            self._fold_pending()
 
     def demand(self, gid: int) -> float:
         """The object's score decayed to the current round (0.0 when
@@ -266,24 +284,10 @@ class DemandTracker:
         """Current scores for a set of objects (zeros included)."""
         return {gid: self.demand(gid) for gid in gids}
 
-    def rank(self, gids: Sequence[int]) -> list[int]:
-        """Objects by demand, hottest first; ties break by ascending
-        gid, so same-seed runs rank identically."""
-        return sorted(gids, key=lambda gid: (-self.demand(gid), gid))
-
     def forget(self, gid: int) -> None:
         """Drop one object's score (object removed from the cluster)."""
         self._fold_pending()
         self._scores.pop(gid, None)
-
-    def compact(self) -> int:
-        """Drop scores decayed to noise; returns how many were dropped."""
-        dead = [
-            gid for gid in self._scores if self.demand(gid) < _COMPACT_FLOOR
-        ]
-        for gid in dead:
-            del self._scores[gid]
-        return len(dead)
 
     # -- persistence identity ------------------------------------------
     def to_payload(self) -> dict[str, Any]:

@@ -18,6 +18,7 @@ a shard never perturbs the fault schedule of the existing ones.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 from repro.server.cmserver import CMServer
@@ -87,7 +88,6 @@ class ShardNode:
         self.server = server
         self.journal = journal
         self.domain = domain if domain is not None else f"dom{shard_id}"
-        self._scheduler: Optional[RoundScheduler] = None
 
     @classmethod
     def create(
@@ -123,17 +123,22 @@ class ShardNode:
         )
         return cls(shard_id, server, journal, domain=domain)
 
-    @property
+    @cached_property
     def scheduler(self) -> RoundScheduler:
-        """The shard's round scheduler (created on first use)."""
-        if self._scheduler is None:
-            self._scheduler = RoundScheduler(
-                self.server.array,
-                locator=self.server.computed_locator(),
-                batch_locator=self.server.computed_batch_locator(),
-                obs=self.server.obs,
-            )
-        return self._scheduler
+        """The shard's round scheduler, created on first use and a plain
+        attribute from then on (every admission reads it)."""
+        return RoundScheduler(
+            self.server.array,
+            locator=self.server.computed_locator(),
+            batch_locator=self.server.computed_batch_locator(),
+            obs=self.server.obs,
+        )
+
+    @property
+    def _scheduler(self) -> Optional[RoundScheduler]:
+        """The scheduler if one was created, else None (a shard that
+        never served has no streams to move or count)."""
+        return self.__dict__.get("scheduler")
 
     @property
     def total_blocks(self) -> int:

@@ -259,7 +259,7 @@ class HealthMonitor:
         ``observe_success`` would be a state no-op, so a vectorized path
         can serve all of the member's reads in one batch.  Deliberately
         does *not* create a breaker.
-        :meth:`~repro.cluster.coordinator.ClusterCoordinator.route_read`
+        :meth:`~repro.cluster.coordinator.ClusterCoordinator._serves_unimpeded`
         reads the same two dicts inline, once per admission; keep the
         two in step.
         """

@@ -67,11 +67,13 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.server.admission import AdmissionRefusedError
+from repro.server.objects import MediaObject
 from repro.server.streams import (
     RoundDemand,
     Stream,
     StreamTable,
     gather_round_demand,
+    start_block_error,
 )
 from repro.storage.array import DiskArray
 from repro.storage.block import BlockId
@@ -271,15 +273,35 @@ class RoundScheduler:
         :class:`~repro.server.admission.AdmissionRefusedError`; an id
         already admitted raises ``ValueError`` (the table checks it).
         """
-        table = self.table
-        active = table.active_demand
+        active = self.table.active_demand
         rate = stream.media.blocks_per_round
         if not self.admission.admits(self.array, active, rate):
-            raise AdmissionRefusedError(
-                f"admission denied by {type(self.admission).__name__}: "
-                f"active demand {active} + new rate {rate} blocks/round"
-            )
-        table.append(stream)
+            raise self._refusal(active, rate)
+        self.table.append(stream)
+
+    def open_stream(
+        self, stream_id: int, media: MediaObject, start_block: int = 0
+    ) -> Stream:
+        """Admit a new stream of ``media`` from ``start_block``: what
+        ``admit(Stream(stream_id, media, start_block))`` does, in results
+        and errors (the start block checked first, then admission
+        control, then the id), with the handle created on its row."""
+        if not 0 <= start_block < media.num_blocks:
+            raise start_block_error(start_block, media)
+        table = self.table
+        active = table.active_demand
+        rate = media.blocks_per_round
+        if not self.admission.admits(self.array, active, rate):
+            raise self._refusal(active, rate)
+        return table.open(stream_id, media, start_block)
+
+    def _refusal(self, active: int, rate: int) -> AdmissionRefusedError:
+        """The error for a stream of ``rate`` refused at ``active``
+        demand."""
+        return AdmissionRefusedError(
+            f"admission denied by {type(self.admission).__name__}: "
+            f"active demand {active} + new rate {rate} blocks/round"
+        )
 
     def depart(self, stream_id: int) -> Stream:
         """Remove a stream (client disconnect); the returned handle keeps

@@ -23,8 +23,11 @@ on its table row (reads and writes go to the columns); before admission
 it holds its own values, and after departure it keeps its last
 position and state (read from the row it left until the handle is
 written or admitted again, then from its own slots).  A bulk move
-re-points it at its new row, so it stays valid.  Its methods are the
-per-stream reference semantics the scalar scheduler loop runs on.
+re-points it at its new row, so it stays valid, and
+:meth:`StreamTable.open` creates one already attached to a new row (a
+stream admitted by id, as the cluster admits viewers).  Its methods
+are the per-stream reference semantics the scalar scheduler loop runs
+on.
 """
 
 from __future__ import annotations
@@ -127,9 +130,7 @@ class Stream:
 
     def __init__(self, stream_id: int, media: MediaObject, start_block: int = 0):
         if not 0 <= start_block < media.num_blocks:
-            raise ValueError(
-                f"start block {start_block} out of 0..{media.num_blocks - 1}"
-            )
+            raise start_block_error(start_block, media)
         self.stream_id = stream_id
         self.media = media
         #: The table this stream is admitted to (None when detached).
@@ -256,6 +257,17 @@ class Stream:
         )
 
 
+def start_block_error(start_block: int, media: MediaObject) -> ValueError:
+    """The error for a start block outside ``media``."""
+    return ValueError(
+        f"start block {start_block} out of 0..{media.num_blocks - 1}"
+    )
+
+
+#: A :class:`Stream` without ``__init__`` (:meth:`StreamTable.open`
+#: fills in its slots).
+_new_stream = Stream.__new__
+
 #: The table's columns and their dtypes (one numpy array each;
 #: growth, compaction and bulk moves move them together).
 _COLUMNS = {
@@ -278,10 +290,11 @@ class StreamTable:
     """A scheduler's admitted streams as parallel numpy columns.
 
     Row ``r`` of every column describes one stream; rows stay in
-    admission order.  :meth:`append` adds a row (amortized O(1): the
-    columns double when full); :meth:`remove` marks the row vacant and
-    detaches the handle; :meth:`move` hands many rows to another table
-    at once.  Once vacant rows outnumber live ones the table compacts
+    admission order.  :meth:`append` adds a row for a detached handle
+    and :meth:`open` one for a new stream, its handle created on the
+    row (amortized O(1): the columns double when full); :meth:`remove`
+    marks the row vacant and detaches the handle; :meth:`move` hands
+    many rows to another table at once.  Once vacant rows outnumber live ones the table compacts
     (on a departure, or :meth:`compact_if_due` after moves), keeping the
     live rows' order, so m admissions, departures and moved rows copy
     O(m) rows in all (:attr:`rows_copied` counts them).
@@ -359,18 +372,56 @@ class StreamTable:
         return int(np.count_nonzero(self.state[: self.rows] == _PLAYING))
 
     def append(self, stream: Stream) -> None:
-        """Admit ``stream``: add its row and attach the handle to it.
-
-        Rows past :attr:`rows` are all zero (rows are only appended, and
-        growth and compaction move them into fresh zeroed arrays), so
-        only non-zero fields are written.
-        """
+        """Admit ``stream``, a detached handle: add a row with its values
+        and attach the handle to it."""
         if stream._table is not None:
             raise ValueError(
                 f"stream {stream.stream_id} is already admitted to a scheduler"
             )
         if stream._left is not None:
             stream._detach()
+        self._attach(
+            stream,
+            stream._position,
+            stream._state,
+            stream._stall_rounds,
+            stream._blocks_consumed,
+        )
+
+    def open(
+        self, stream_id: int, media: MediaObject, position: int = 0
+    ) -> Stream:
+        """Admit a new stream of ``media`` playing from ``position`` (a
+        block index the caller has checked); its handle, created on its
+        new row: what ``Stream(stream_id, media, position)`` and then
+        :meth:`append` give."""
+        stream = _new_stream(Stream)
+        stream.stream_id = stream_id
+        stream.media = media
+        stream._left = None
+        stream._position = position
+        stream._state = _PLAYING_STATE
+        stream._stall_rounds = 0
+        stream._blocks_consumed = 0
+        self._attach(stream, position, _PLAYING_STATE, 0, 0)
+        return stream
+
+    def _attach(
+        self,
+        stream: Stream,
+        position: int,
+        state: StreamState,
+        stall_rounds: int,
+        blocks_consumed: int,
+    ) -> None:
+        """The row writer of :meth:`append` and :meth:`open`: add a row
+        holding ``stream``'s media and these values, and attach the
+        handle to it.
+
+        Rows past :attr:`rows` are all zero (rows are only appended, and
+        growth and compaction move them into fresh zeroed arrays), so
+        only non-zero fields are written.
+        """
         by_id = self._by_id
         stream_id = stream.stream_id
         if stream_id in by_id:
@@ -384,15 +435,14 @@ class StreamTable:
         self.object_id[row] = media.object_id
         self.rate[row] = rate
         self.length[row] = media.num_blocks
-        if stream._position:
-            self.position[row] = stream._position
-        state = stream._state
+        if position:
+            self.position[row] = position
         if state is not _PLAYING_STATE:
             self.state[row] = _CODE[state]
-        if stream._stall_rounds:
-            self.stall_rounds[row] = stream._stall_rounds
-        if stream._blocks_consumed:
-            self.blocks_consumed[row] = stream._blocks_consumed
+        if stall_rounds:
+            self.stall_rounds[row] = stall_rounds
+        if blocks_consumed:
+            self.blocks_consumed[row] = blocks_consumed
         handles.append(stream)
         by_id[stream_id] = stream
         stream._table = self

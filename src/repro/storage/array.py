@@ -60,7 +60,10 @@ class DiskArray:
         self._total_blocks = 0
         self._blocks_moved = 0
         self._inventory_version = 0
-        self._total_bandwidth = 0
+        #: Summed bandwidth of the attached disks (block reads/round),
+        #: kept by attach and detach.  A plain attribute: admission
+        #: control reads it once per admitted stream.
+        self.total_bandwidth = 0
         for spec in specs:
             self._attach(Disk(spec=spec))
 
@@ -71,11 +74,6 @@ class DiskArray:
     def num_disks(self) -> int:
         """Current disk count ``N``."""
         return len(self._logical_order)
-
-    @property
-    def total_bandwidth(self) -> int:
-        """Summed bandwidth of the attached disks (block reads/round)."""
-        return self._total_bandwidth
 
     @property
     def physical_ids(self) -> tuple[int, ...]:
@@ -154,7 +152,7 @@ class DiskArray:
         for logical in reversed(removed):
             pid = self._logical_order.pop(logical)
             disk = self._disks.pop(pid)
-            self._total_bandwidth -= disk.bandwidth_blocks_per_round
+            self.total_bandwidth -= disk.bandwidth_blocks_per_round
             detached.append(disk)
             del self._resident[pid]
         detached.reverse()
@@ -367,7 +365,7 @@ class DiskArray:
     # ------------------------------------------------------------------
     def _attach(self, disk: Disk) -> int:
         self._disks[disk.physical_id] = disk
-        self._total_bandwidth += disk.bandwidth_blocks_per_round
+        self.total_bandwidth += disk.bandwidth_blocks_per_round
         self._logical_order.append(disk.physical_id)
         self._resident[disk.physical_id] = 0
         return disk.physical_id

@@ -278,6 +278,96 @@ class TestServing:
         assert coordinator.replication.copies_dropped > 0
 
 
+class TestAdmissionContract:
+    """``admit_stream``'s checks and side effects, in order: a duplicate
+    stream id and an unknown object fail before any demand is recorded;
+    then one demand unit is recorded (and counted in obs); only then can
+    a bad start block or a full scheduler refuse the stream, leaving the
+    unit recorded and no registry entry or table row behind."""
+
+    GID = 0
+
+    @staticmethod
+    def cluster() -> ClusterCoordinator:
+        from repro.cluster import ReplicationPolicy
+
+        coordinator = build_cluster(
+            num_objects=4, obs=Obs(), replication_policy=ReplicationPolicy(8)
+        )
+        for sid in range(4):
+            coordinator.admit_stream(sid, sid, start_block=sid)
+        coordinator.run_round()
+        return coordinator
+
+    def state(self, coordinator: ClusterCoordinator) -> tuple:
+        table = coordinator.shard(coordinator.shard_of(self.GID)).scheduler.table
+        return (
+            dict(coordinator._streams),
+            {gid: dict(v) for gid, v in coordinator._viewers.items()},
+            table.rows,
+            len(table),
+            table.active_demand,
+        )
+
+    @staticmethod
+    def units(coordinator: ClusterCoordinator) -> float:
+        return coordinator.obs.registry.counter("cluster.demand.units").total
+
+    def check(self, coordinator, error, message, recorded, **admission):
+        from repro.cluster import DemandTracker
+
+        tracker = coordinator.replication.tracker
+        before = tracker.to_payload()
+        state = self.state(coordinator)
+        units = self.units(coordinator)
+        with pytest.raises(error) as raised:
+            coordinator.admit_stream(**admission)
+        assert type(raised.value) is error
+        assert raised.value.args == (message,)
+        expected = DemandTracker.from_payload(before)
+        if recorded:
+            expected.record(admission["object_id"])
+        assert tracker.to_payload() == expected.to_payload()
+        assert self.units(coordinator) == units + (1 if recorded else 0)
+        assert self.state(coordinator) == state
+
+    def test_duplicate_stream_id(self):
+        coordinator = self.cluster()
+        self.check(
+            coordinator, ValueError, "stream id 2 already admitted", False,
+            stream_id=2, object_id=self.GID,
+        )
+
+    def test_unknown_object(self):
+        coordinator = self.cluster()
+        self.check(
+            coordinator, KeyError, "object 99 is not in the cluster", False,
+            stream_id=50, object_id=99,
+        )
+
+    def test_start_block_outside_the_object(self):
+        coordinator = self.cluster()
+        self.check(
+            coordinator, ValueError, "start block 40 out of 0..39", True,
+            stream_id=50, object_id=self.GID, start_block=40,
+        )
+
+    def test_full_scheduler(self):
+        from repro.server.admission import AdmissionRefusedError
+
+        coordinator = self.cluster()
+        home = coordinator.shard(coordinator.shard_of(self.GID)).scheduler
+        full = home.array.total_bandwidth
+        for sid in range(100, 100 + full - home.active_demand):
+            coordinator.admit_stream(sid, self.GID)
+        self.check(
+            coordinator, AdmissionRefusedError,
+            "admission denied by AggregateAdmission: "
+            f"active demand {full} + new rate 1 blocks/round", True,
+            stream_id=50, object_id=self.GID,
+        )
+
+
 class TestReshard:
     def test_add_shards_moves_minimally(self):
         coordinator = build_cluster(num_objects=20)

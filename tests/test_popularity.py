@@ -65,7 +65,123 @@ def build_policy_cluster(
     return coordinator
 
 
+class EagerTracker:
+    """The per-unit oracle for :class:`DemandTracker`: each unit is
+    added on its own, when it is recorded, to its object's score decayed
+    to the current round."""
+
+    def __init__(self, half_life_rounds: int):
+        self.half_life_rounds = half_life_rounds
+        self.decay = 0.5 ** (1.0 / half_life_rounds)
+        self.scores: dict[int, tuple[float, int]] = {}
+        self.round_index = 0
+        self.total_units = 0
+
+    def decayed(self, gid: int) -> float:
+        score, stamp = self.scores.get(gid, (0.0, self.round_index))
+        if stamp < self.round_index:
+            score *= self.decay ** (self.round_index - stamp)
+        return score
+
+    def add(self, gid: int, units: int) -> None:
+        for _ in range(max(units, 0)):
+            self.scores[gid] = (self.decayed(gid) + 1.0, self.round_index)
+            self.total_units += 1
+
+    def advance_to(self, round_index: int) -> None:
+        self.round_index = max(self.round_index, round_index)
+
+    def demand(self, gid: int) -> float:
+        return self.decayed(gid) if gid in self.scores else 0.0
+
+    def forget(self, gid: int) -> None:
+        self.scores.pop(gid, None)
+
+    def to_payload(self) -> dict:
+        return {
+            "half_life_rounds": self.half_life_rounds,
+            "round_index": self.round_index,
+            "total_units": self.total_units,
+            "scores": [
+                [gid, score, stamp]
+                for gid, (score, stamp) in sorted(self.scores.items())
+            ],
+        }
+
+
+GID = st.integers(0, 7)
+TRACKER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("record"), GID, st.integers(-1, 300)),
+        st.tuples(st.just("batch"), st.lists(GID, max_size=12)),
+        st.tuples(
+            st.just("counts"),
+            st.lists(st.tuples(GID, st.integers(0, 40)), max_size=6),
+        ),
+        st.tuples(st.just("advance"), st.integers(0, 3)),
+        st.tuples(st.just("demand"), GID),
+        st.tuples(st.just("forget"), GID),
+        st.tuples(st.just("payload")),
+    ),
+    max_size=40,
+)
+
+
 class TestDemandTracker:
+    @given(
+        ops=TRACKER_OPS,
+        cap=st.sampled_from((1 << 20, 50)),
+        half_life=st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_queued_record_matches_eager_oracle(self, ops, cap, half_life):
+        """``record`` queues its units; interleaved with the batch feeds,
+        clock moves, reads, forgets and payloads (and folds forced by a
+        small queue cap), every score and the payload equal the eager
+        per-unit oracle's, to the last bit."""
+        import numpy as np
+
+        class Capped(DemandTracker):
+            PENDING_CAP = cap
+
+        tracker = Capped(half_life_rounds=half_life)
+        oracle = EagerTracker(half_life)
+        for op, *args in ops:
+            if op == "record":
+                gid, units = args
+                tracker.record(gid, units)
+                oracle.add(gid, units)
+            elif op == "batch":
+                (gids,) = args
+                tracker.record_batch(np.array(gids, dtype=np.int64))
+                for gid in gids:
+                    oracle.add(gid, 1)
+            elif op == "counts":
+                (pairs,) = args
+                tracker.record_counts(
+                    np.array([g for g, __ in pairs], dtype=np.int64),
+                    np.array([c for __, c in pairs], dtype=np.int64),
+                )
+                for gid, count in pairs:
+                    oracle.add(gid, count)
+            elif op == "advance":
+                (step,) = args
+                tracker.advance_to(tracker.round_index + step)
+                oracle.advance_to(oracle.round_index + step)
+            elif op == "demand":
+                (gid,) = args
+                assert tracker.demand(gid) == oracle.demand(gid)
+            elif op == "forget":
+                (gid,) = args
+                tracker.forget(gid)
+                oracle.forget(gid)
+            else:
+                assert tracker.to_payload() == oracle.to_payload()
+            assert tracker.total_units == oracle.total_units
+            assert tracker._pending_units <= cap
+        assert tracker.to_payload() == oracle.to_payload()
+        assert len(tracker) == len(oracle.scores)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DemandTracker(half_life_rounds=0)
@@ -217,22 +333,13 @@ class TestDemandTracker:
         tracker.record_counts(np.array([4, 5]), np.array([0, 0]))
         assert tracker.total_units == 0 and len(tracker) == 0
 
-    def test_rank_ties_break_by_gid(self):
-        tracker = DemandTracker()
-        tracker.record(4, units=2)
-        tracker.record(9, units=2)
-        tracker.record(1, units=5)
-        assert tracker.rank([9, 4, 1, 2]) == [1, 4, 9, 2]
-
-    def test_forget_and_compact(self):
+    def test_forget(self):
         tracker = DemandTracker(half_life_rounds=1)
         tracker.record(0, units=1)
         tracker.record(1, units=1)
         tracker.forget(0)
         assert tracker.demand(0) == 0.0
-        tracker.advance_to(60)  # 60 half-lives: decayed to noise
-        assert tracker.compact() == 1
-        assert len(tracker) == 0
+        assert len(tracker) == 1
 
     def test_payload_round_trip_is_bit_exact(self):
         import numpy as np

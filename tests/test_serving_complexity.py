@@ -10,17 +10,22 @@ any per-object one: a steady round locates through the batch locator's
 calls at n and 4n objects.  An admission to a healthy home touches no
 health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  A
 cluster round's demand feed queues one entry per title, the same at n
-and 4n viewers.  The table's own bookkeeping is amortized O(1): m
-admissions, departures and seeks copy O(m) rows in all, however the
-departures interleave.  Moving viewers off a dead shard or with a
-migrating title routes once per title (the same count at n and 4n
-viewers), builds no ``Stream``, admits and departs nothing through a
-scheduler, and copies O(viewers) rows.
+and 4n viewers.  Admitting a viewer to a healthy home and departing it
+are flat passes: at most 6 Python-level calls per admission (7 with a
+popularity policy) and 2 per departure, the same at n and 4n titles.
+The table's own bookkeeping is amortized O(1): m admissions,
+departures and seeks copy O(m) rows in all, however the departures
+interleave.  Moving viewers off a dead shard or with a migrating title
+routes once per title (the same count at n and 4n viewers), builds no
+``Stream``, admits and departs nothing through a scheduler, and copies
+O(viewers) rows.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -279,6 +284,81 @@ class TestHealthyRouting:
         lookups.clear()
         coordinator.admit_stream(0, 0)
         assert lookups["observe_success"] == 0
+
+
+#: Table growth and compaction, left out of per-call counts (amortized
+#: O(1): :class:`TestTableBookkeeping` pins them).
+AMORTIZED = {StreamTable._resize.__code__, StreamTable._compact.__code__}
+
+
+def python_calls(fn) -> int:
+    """Python-level calls made inside ``fn()`` (``fn``'s own frame not
+    counted), leaving out table growth and compaction and all they
+    call.  The collector is off meanwhile: its callbacks and finalizers
+    are not the code under count."""
+    count = 0
+    skipping = 0  # depth inside an amortized frame
+
+    def profile(frame, event, arg):
+        nonlocal count, skipping
+        if event == "call":
+            if skipping:
+                skipping += 1
+            elif frame.f_code in AMORTIZED:
+                skipping = 1
+            else:
+                count += 1
+        elif event == "return" and skipping:
+            skipping -= 1
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return count - 1
+
+
+class TestFlatAdmission:
+    @staticmethod
+    def cluster(titles: int, policy: bool) -> ClusterCoordinator:
+        coordinator = ClusterCoordinator.create(
+            3, 2,
+            DiskSpec(capacity_blocks=50_000, bandwidth_blocks_per_round=512),
+            bits=32, master_seed=0xC0DE, replication_factor=2,
+            replication_policy=ReplicationPolicy(2 * titles) if policy else None,
+        )
+        for i in range(titles):
+            coordinator.add_object(f"title-{i}", 40)
+        for shard in coordinator.shards:
+            shard.scheduler  # created on first use, not per admission
+        return coordinator
+
+    @pytest.mark.parametrize("policy, bound", [(False, 6), (True, 7)])
+    def test_calls_per_admission_and_departure(self, policy, bound):
+        admissions, departures = [], []
+        for n in SIZES:  # n viewers over n titles, then 4n over 4n
+            coordinator = self.cluster(n, policy)
+
+            def admit_all():
+                for sid in range(n):
+                    coordinator.admit_stream(sid, sid, start_block=sid % 30)
+
+            def depart_all():
+                for sid in range(n):
+                    coordinator.depart_stream(sid)
+
+            admissions.append(python_calls(admit_all) / n)
+            assert len(coordinator._streams) == n
+            departures.append(python_calls(depart_all) / n)
+            assert not coordinator._streams and not coordinator._viewers
+        assert admissions[0] == admissions[1] <= bound, admissions
+        assert departures[0] == departures[1] <= 2, departures
 
 
 class TestTableBookkeeping:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.server.admission import AdmissionRefusedError
 from repro.server.objects import MediaObject
 from repro.server.scheduler import RoundScheduler
 from repro.server.streams import Stream, StreamState
@@ -462,3 +464,124 @@ class TestVectorizedToggle:
             report = sched.run_round()
             assert report.requested == 0
             assert report.served == 0
+
+
+#: Objects the handle-equivalence property plays (rates 1 to 3).
+OPEN_MEDIA = [media(num_blocks=9, rate=r, object_id=r) for r in (1, 2, 3)]
+STATES = list(StreamState)
+
+
+class TestOpenStream:
+    """A handle :meth:`StreamTable.open` creates on its row behaves as
+    ``Stream(...)`` then :meth:`StreamTable.append`, and
+    :meth:`RoundScheduler.open_stream` as ``admit(Stream(...))``."""
+
+    @staticmethod
+    def values(stream: Stream) -> tuple:
+        return (
+            stream.stream_id, stream.media, stream.position, stream.state,
+            stream.stall_rounds, stream.blocks_consumed, repr(stream),
+        )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("open", "deliver", "pause", "resume", "seek", "write",
+                     "state", "depart", "readmit")
+                ),
+                st.integers(0, 2**16),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_behaves_as_stream_then_append(self, ops):
+        from repro.server.streams import StreamTable
+
+        built, opened = StreamTable(), StreamTable()
+        pairs: list[tuple[Stream, Stream]] = []
+        departed: list[int] = []
+        for op, x in ops:
+            if op == "open":
+                obj = OPEN_MEDIA[x % 3]
+                sid, position = len(pairs), x % obj.num_blocks
+                twin = Stream(sid, obj, start_block=position)
+                built.append(twin)
+                pairs.append((twin, opened.open(sid, obj, position)))
+                continue
+            if not pairs:
+                continue
+            twin, stream = pairs[x % len(pairs)]
+            if op == "deliver":
+                live = built.live_rows()  # vacant rows are served 0
+                served = np.zeros(built.rows, dtype=np.int64)
+                served[live] = live % (x % 3 + 1)
+                for table in (built, opened):
+                    table.deliver(served, np.full(table.rows, 2))
+            elif op in ("pause", "resume"):
+                getattr(twin, op)()
+                getattr(stream, op)()
+            elif op == "seek":
+                for handle in (twin, stream):
+                    handle.seek(x % handle.media.num_blocks)
+            elif op == "write":
+                for handle in (twin, stream):
+                    handle.stall_rounds += 1
+                    handle.blocks_consumed = x % 50
+                    handle.position = x % handle.media.num_blocks
+            elif op == "state":
+                twin.state = stream.state = STATES[x % 3]
+            elif op == "depart" and twin._table is not None:
+                assert built.remove(twin.stream_id) is twin
+                assert opened.remove(stream.stream_id) is stream
+                departed.append(twin.stream_id)
+            elif op == "readmit" and departed:
+                twin, stream = pairs[departed.pop(x % len(departed))]
+                built.append(twin)
+                opened.append(stream)
+            for twin, stream in pairs:
+                assert self.values(stream) == self.values(twin)
+            n = built.rows
+            assert opened.rows == n and len(opened) == len(built)
+            assert opened.active_demand == built.active_demand
+            for column in ("object_id", "position", "rate", "length",
+                           "state", "stall_rounds", "blocks_consumed"):
+                assert np.array_equal(
+                    getattr(opened, column)[:n], getattr(built, column)[:n]
+                ), column
+        assert [h.stream_id for h in opened.handles()] == [
+            h.stream_id for h in built.handles()
+        ]
+
+    def test_open_stream_checks_in_admit_order(self):
+        obj = media(num_blocks=12)
+        sched = RoundScheduler(build_served_array([obj], n_disks=1, bandwidth=2))
+        stream = sched.open_stream(1, obj, start_block=4)
+        assert (stream.position, stream.state) == (4, StreamState.PLAYING)
+        assert sched.streams == (stream,)
+        twin = RoundScheduler(build_served_array([obj], n_disks=1, bandwidth=2))
+        twin.admit(Stream(1, obj, start_block=4))
+
+        def refusal(call):
+            with pytest.raises(ValueError) as raised:
+                call()
+            return type(raised.value), raised.value.args
+
+        for start in (-1, 12):  # the start block is checked first
+            assert refusal(lambda: sched.open_stream(2, obj, start)) == refusal(
+                lambda: twin.admit(Stream(2, obj, start_block=start))
+            )
+        assert refusal(lambda: sched.open_stream(1, obj)) == refusal(
+            lambda: twin.admit(Stream(1, obj))
+        )
+        sched.open_stream(2, obj)
+        twin.admit(Stream(2, obj))
+        for start in (0, 12):  # full: refused, unless the start is bad
+            assert refusal(lambda: sched.open_stream(3, obj, start)) == refusal(
+                lambda: twin.admit(Stream(3, obj, start_block=start))
+            )
+        with pytest.raises(AdmissionRefusedError):
+            sched.open_stream(3, obj)
+        assert [s.stream_id for s in sched.streams] == [1, 2]
+        assert sched.table.rows == 2 and sched.active_demand == 2
