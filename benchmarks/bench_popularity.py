@@ -11,8 +11,10 @@ Two sections, each with hard floors, persisted to
   copy budget, and same-seed runs must be bit-identical.
 * **tracking overhead** — batched ``route_reads`` throughput on an
   all-healthy cluster with a policy attached (demand queued per
-  batch) versus without; the queued demand feed must stay within
-  ``max_tracking_overhead`` of the untracked hot path.  The timed
+  batch) versus without, the two clusters timed in alternating
+  passes; the queued demand feed must stay within
+  ``max_tracking_overhead`` of the untracked hot path, read from the
+  median pair of passes.  The timed
   passes never fold the queue (they stay under ``PENDING_CAP``), so
   the fold has its own, unfloored numbers (``tracking.fold``): the
   milliseconds one fold of a pass's units takes, and the overhead with
@@ -38,6 +40,7 @@ from repro.cluster.popularity import ReplicationPolicy
 from repro.experiments.flash_crowd import run_flash_crowd
 from repro.storage.disk import DiskSpec
 
+from bench_cluster_ha import measure_interleaved
 from benchenv import environment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -131,11 +134,9 @@ def _build_lookup_cluster(
     return coordinator
 
 
-def _measure_lookup_rate(
-    coordinator: ClusterCoordinator, repeats: int, fold: bool = False
-) -> int:
-    """Best-of-three batched route_reads rate over the whole namespace
-    (with ``fold``, each pass is followed by one tracker fold)."""
+def _measure_folded_rate(coordinator: ClusterCoordinator, repeats: int) -> int:
+    """Best-of-three batched route_reads rate over the whole namespace,
+    each pass followed by one tracker fold."""
     gids = list(coordinator.object_ids)
     tracker = coordinator.replication.tracker
     coordinator.route_reads(gids[:256])  # warm-up
@@ -144,8 +145,7 @@ def _measure_lookup_rate(
         start = time.perf_counter()
         for _ in range(repeats):
             coordinator.route_reads(gids)
-            if fold:
-                tracker.advance_to(tracker.round_index + 1)
+            tracker.advance_to(tracker.round_index + 1)
         elapsed = time.perf_counter() - start
         best = max(best, repeats * len(gids) / elapsed)
     return int(best)
@@ -165,20 +165,30 @@ def _measure_fold_ms(coordinator: ClusterCoordinator, repeats: int) -> float:
 
 
 def run_tracking_overhead(cfg: dict) -> dict:
-    """Hot-path lookup throughput, untracked vs demand-tracked."""
+    """Hot-path lookup throughput, untracked vs demand-tracked.
+
+    The two clusters take turns, ``lookup_repeats`` passes each with the
+    order alternating (:func:`bench_cluster_ha.measure_interleaved`);
+    each side's rate is its median pass, and the gated overhead is the
+    median of the adjacent pairs' time ratios, so a slow moment of the
+    machine lands on one pair, not on one side."""
     policy = ReplicationPolicy(cfg["lookup_objects"] + 64)
-    baseline = _measure_lookup_rate(
-        _build_lookup_cluster(cfg, None), cfg["lookup_repeats"]
-    )
-    tracked_cluster = _build_lookup_cluster(cfg, policy)
+    sides = [_build_lookup_cluster(cfg, None), _build_lookup_cluster(cfg, policy)]
     repeats = cfg["lookup_repeats"]
-    tracked = _measure_lookup_rate(tracked_cluster, repeats)
-    folded = _measure_lookup_rate(tracked_cluster, repeats, fold=True)
+    seconds = measure_interleaved(sides, repeats)
+    baseline, tracked = (
+        int(cfg["lookup_objects"] / statistics.median(passes))
+        for passes in seconds
+    )
+    overhead = 1.0 - statistics.median(b / t for b, t in zip(*seconds))
+    tracked_cluster = sides[1]
+    folded = _measure_folded_rate(tracked_cluster, repeats)
     return {
         "objects": cfg["lookup_objects"],
+        "repeats": repeats,
         "baseline_lookups_per_sec": baseline,
         "tracked_lookups_per_sec": tracked,
-        "overhead": round(1.0 - tracked / baseline, 4),
+        "overhead": round(overhead, 4),
         "fold": {
             "ms_per_fold": round(_measure_fold_ms(tracked_cluster, repeats), 3),
             "folded_lookups_per_sec": folded,

@@ -33,6 +33,12 @@ is the median of the adjacent pairs' rate ratios, as in
 variant.  The inventory-locator variant, which has no floor, is timed
 alone over ``window_s``.
 
+An AO1 row times the simple vectorized path on servers that have run
+``j`` scaling operations, ``j`` in :data:`AO1_OPERATIONS`, the servers
+taking turns the same way.  The batch locator locates once per
+placement change, so the steady-round rate should not fall with ``j``
+although the REMAP chain behind each home grows; the row has no floor.
+
 Results are persisted to ``BENCH_serving.json`` at the repo root.
 
 Usage::
@@ -51,6 +57,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from repro.core.operations import ScalingOp
 from repro.server.cmserver import CMServer
 from repro.server.reads import build_degraded_stack
 from repro.server.scheduler import RoundScheduler
@@ -65,6 +72,8 @@ SEED = 0xBE9C
 BITS = 64
 #: Timed passes per variant of a scalar/vectorized pair.
 PASSES = 5
+#: Scaling operations run before the AO1 row's rounds (``j``).
+AO1_OPERATIONS = (0, 4, 8)
 
 #: Full-size workload: 10k concurrent streams over 16 disks, 8 blocks
 #: per stream per round (80k reads/round, within per-disk bandwidth).
@@ -167,28 +176,68 @@ def measure(scheduler: RoundScheduler, window_s: float) -> dict:
     return summarize([timed_rounds(scheduler, window_s)])
 
 
+def measure_turns(sides: list[RoundScheduler], cfg: dict) -> list[list[dict]]:
+    """The variants take turns, :data:`PASSES` passes each with the
+    order reversing every turn (after one untimed warm-up round each);
+    returns each one's passes."""
+    for scheduler in sides:
+        scheduler.run_round()  # warm-up
+    passes: list[list[dict]] = [[] for __ in sides]
+    for k in range(PASSES):
+        order = range(len(sides))
+        for i in order if k % 2 == 0 else reversed(order):
+            passes[i].append(timed_rounds(sides[i], cfg["window_s"] / PASSES))
+    return passes
+
+
+def rate(timed: dict) -> float:
+    return timed["requested"] / timed["seconds"]
+
+
 def measure_pair(
     scalar: RoundScheduler, vectorized: RoundScheduler, cfg: dict
 ) -> tuple[dict, dict, float]:
-    """The two variants take turns, :data:`PASSES` passes each with
-    the order alternating; returns each one's totals and the median of
-    the adjacent pairs' rate ratios (vectorized over scalar)."""
-    sides = (scalar, vectorized)
-    for scheduler in sides:
-        scheduler.run_round()  # warm-up
-    passes: tuple[list[dict], list[dict]] = ([], [])
-    for k in range(PASSES):
-        for i in (0, 1) if k % 2 == 0 else (1, 0):
-            passes[i].append(timed_rounds(sides[i], cfg["window_s"] / PASSES))
-    speedup = statistics.median(
-        (v["requested"] / v["seconds"]) / (s["requested"] / s["seconds"])
-        for s, v in zip(*passes)
-    )
+    """The two variants take turns (:func:`measure_turns`); returns
+    each one's totals and the median of the adjacent pairs' rate ratios
+    (vectorized over scalar)."""
+    passes = measure_turns([scalar, vectorized], cfg)
+    speedup = statistics.median(rate(v) / rate(s) for s, v in zip(*passes))
     return summarize(passes[0]), summarize(passes[1]), speedup
 
 
-def simple_scheduler(cfg: dict, vectorized: bool, locator: str) -> RoundScheduler:
+def run_ao1(cfg: dict) -> dict:
+    """The simple vectorized path on servers that have run
+    :data:`AO1_OPERATIONS` scaling operations, timed in turns: the
+    steady-round rate per operation count, and the median pair ratio of
+    the most-scaled server's rate to the unscaled one's.  AO1's REMAP
+    chain grows with the log; a round that only gathers located homes
+    should not."""
+    sides = [
+        simple_scheduler(cfg, vectorized=True, locator="backend", operations=j)
+        for j in AO1_OPERATIONS
+    ]
+    passes = measure_turns(sides, cfg)
+    return {
+        "operations": list(AO1_OPERATIONS),
+        "reads_per_sec": [summarize(p)["reads_per_sec"] for p in passes],
+        "ratio_most_to_none": round(
+            statistics.median(
+                rate(last) / rate(first)
+                for first, last in zip(passes[0], passes[-1])
+            ),
+            3,
+        ),
+    }
+
+
+def simple_scheduler(
+    cfg: dict, vectorized: bool, locator: str, operations: int = 0
+) -> RoundScheduler:
+    """A scheduler on a fresh server that has first run ``operations``
+    scaling operations (a disk added and disk 0 removed, in turn)."""
     server = build_server(cfg)
+    for k in range(operations):
+        server.scale(ScalingOp.add(1) if k % 2 == 0 else ScalingOp.remove([0]))
     kwargs = {}
     if locator == "backend":
         kwargs = {
@@ -264,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     for name, result in results.items():
         print(f"{name:28s}: {result['reads_per_sec']:>12,} reads/s")
+    ao1 = run_ao1(cfg)
+    for operations, reads in zip(ao1["operations"], ao1["reads_per_sec"]):
+        print(f"{'simple_vectorized j=' + str(operations):28s}: {reads:>12,} reads/s")
+    print(f"j={AO1_OPERATIONS[-1]} over j=0     : {ao1['ratio_most_to_none']:.3f}")
 
     print(f"simple speedup   : {simple_speedup:.1f}x "
           f"(floor {cfg['min_simple_speedup']:.0f}x)")
@@ -277,6 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         "config": cfg,
         "passes": PASSES,
         "results": results,
+        "ao1": ao1,
         "simple_speedup": round(simple_speedup, 2),
         "degraded_speedup": round(degraded_speedup, 2),
         "min_simple_speedup": cfg["min_simple_speedup"],

@@ -163,17 +163,6 @@ class OperationLog:
             product *= n
         return product
 
-    def truncated(self, j: int) -> "OperationLog":
-        """A new log holding only the first ``j`` operations.
-
-        The journal replay/rollback primitive: aborting an in-flight
-        operation rebuilds the mapper from ``truncated(num_operations - 1)``,
-        and resume replays a journal suffix on top of a truncated prefix.
-        """
-        if not 0 <= j <= len(self._ops):
-            raise IndexError(f"operation index {j} out of 0..{len(self._ops)}")
-        return OperationLog(n0=self.n0, _ops=list(self._ops[:j]))
-
     def __iter__(self) -> Iterator[ScalingOp]:
         return iter(self._ops)
 

@@ -235,6 +235,22 @@ class TestServing:
             coordinator.reshuffle_shard(shard_id)
         assert self.assert_round_reads_homes(coordinator).requested == 24
 
+    def test_round_after_scale_shard_reads_the_new_homes(self):
+        """The batch locator's homes must follow a shard's disk-level
+        scaling: an addition (a new log entry and a new disk), then a
+        removal (the survivors re-indexed), each followed by a round
+        that charges every block to the disk the inventory holds it on."""
+        coordinator = build_cluster(num_shards=2, num_objects=6)
+        for sid in range(24):
+            coordinator.admit_stream(sid, sid % 6, start_block=sid % 30)
+        coordinator.run_rounds(2)  # locates the demanded blocks
+        for shard_id in coordinator.shard_ids:
+            coordinator.scale_shard(shard_id, ScalingOp.add(1))
+        assert self.assert_round_reads_homes(coordinator).requested == 24
+        for shard_id in coordinator.shard_ids:
+            coordinator.scale_shard(shard_id, ScalingOp.remove([0]))
+        assert self.assert_round_reads_homes(coordinator).requested == 24
+
     def test_round_after_replica_churn_reads_the_new_homes(self):
         """``adapt()`` adds and drops replica copies between rounds (a
         catalog add or remove on the copy's shard); each next round

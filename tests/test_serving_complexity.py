@@ -5,9 +5,14 @@ call any per-stream method: the count of ``Stream.deliver``,
 ``Stream.demand_window`` and ``Stream.is_active`` calls is exactly 0
 at n and at 4n viewers — on the simple path, on the degraded path, and
 in a cluster round that feeds a popularity tracker.  Nor does it call
-any per-object one: a steady round locates through the batch locator's
-``X0`` column, with 0 ``CMServer.block_x0`` and 0 ``ObjectCatalog.get``
-calls at n and 4n objects.  An admission to a healthy home touches no
+any per-object one: a steady round reads the batch locator's home
+column, with 0 ``CMServer.block_x0`` and 0 ``ObjectCatalog.get``
+calls at n and 4n objects.  It runs no placement kernel either: 0
+``locate_batch`` calls in a steady round, exactly one (over every
+block the locator has laid out) in the first round after a scaling
+operation, and one over exactly the new copy's blocks in the first
+round that serves a replica copy landed since, at n and 4n objects and
+viewers.  An admission to a healthy home touches no
 health machinery (0 ``observe_success`` and 0 ``breaker`` calls).  A
 cluster round's demand feed queues one entry per title, the same at n
 and 4n viewers.  Admitting a viewer to a healthy home and departing it
@@ -28,12 +33,14 @@ import random
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator, ReplicationPolicy
 from repro.cluster.health import ClusterHealthMonitor
 from repro.cluster.popularity import DemandTracker
 from repro.core.operations import ScalingOp
+from repro.placement.pseudo_random import ScaddarPolicy
 from repro.server.cmserver import CMServer
 from repro.server.objects import ObjectCatalog
 from repro.server.reads import build_degraded_stack
@@ -193,6 +200,79 @@ class TestNoPerObjectLookupsInARound:
             reports = coordinator.run_rounds(ROUNDS)
             assert sum(r.served for r in reports) > 0
             assert lookups == Counter(), f"{objects} objects: {dict(lookups)}"
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """The ``X0`` input of every call to the SCADDAR backend's
+    ``locate_batch`` kernel (the default backend's), in call order."""
+    inputs: list[np.ndarray] = []
+    original = ScaddarPolicy.locate_batch
+
+    def record(self, block_ids, x0s):
+        inputs.append(np.asarray(x0s))
+        return original(self, block_ids, x0s)
+
+    monkeypatch.setattr(ScaddarPolicy, "locate_batch", record)
+    return inputs
+
+
+class TestLocateOncePerPlacementChange:
+    def test_steady_rounds_and_a_scaling_operation(self, kernel):
+        for objects, viewers in zip(OBJECT_SIZES, SIZES):
+            catalog = uniform_catalog(objects, 50, master_seed=0x5EED, bits=32)
+            spec = DiskSpec(
+                capacity_blocks=5_000, bandwidth_blocks_per_round=viewers
+            )
+            server = CMServer(catalog, [spec] * 4, bits=32)
+            scheduler = RoundScheduler(
+                server.array,
+                locator=server.computed_locator(),
+                batch_locator=server.computed_batch_locator(),
+            )
+            admit(scheduler, catalog, viewers)  # every object demanded
+            scheduler.run_round()  # first demand locates every object
+            kernel.clear()
+            scheduler.run_rounds(ROUNDS)
+            assert kernel == [], f"{objects} objects: steady"
+            server.scale(ScalingOp.add(1))
+            kernel.clear()
+            scheduler.run_rounds(ROUNDS)
+            laid_out = np.concatenate([m.x0_column() for m in catalog])
+            assert len(kernel) == 1, f"{objects} objects: {len(kernel)} calls"
+            assert np.array_equal(np.sort(kernel[0]), np.sort(laid_out))
+
+    def test_a_replica_copy_landing(self, kernel):
+        for objects, viewers in zip(OBJECT_SIZES, SIZES):
+            coordinator = ClusterCoordinator.create(
+                3, 2,
+                DiskSpec(capacity_blocks=50_000,
+                         bandwidth_blocks_per_round=viewers),
+                bits=32, master_seed=0xC0DE, replication_factor=2,
+            )
+            for i in range(objects):
+                coordinator.add_object(f"title-{i}", 40)
+            for sid in range(viewers):
+                coordinator.admit_stream(sid, sid % objects, start_block=sid % 30)
+            coordinator.run_round()
+            (old,) = coordinator.replicas_of(0)
+            coordinator.replication.drop_replica(0, old)
+            coordinator.replication.repair(0)  # a new copy lands
+            (target,) = coordinator.replicas_of(0)
+            home = coordinator.shard_of(0)
+            for __ in range(3):  # the home's breaker trips
+                coordinator.health.observe_failure(home, coordinator.round_index)
+            coordinator.admit_stream(viewers, 0)  # served by the new copy
+            copy = coordinator.shard(target)
+            assert viewers in copy.scheduler.table
+            local = max(media.object_id for media in copy.server.catalog)
+            kernel.clear()
+            coordinator.run_round()
+            assert len(kernel) == 1, f"{objects} objects: {len(kernel)} calls"
+            assert np.array_equal(kernel[0], copy.server.x0_column(local))
+            kernel.clear()
+            coordinator.run_rounds(ROUNDS)
+            assert kernel == [], f"{objects} objects: steady after the copy"
 
 
 class TestDemandFeedPerTitle:
